@@ -23,8 +23,8 @@ from .errors import (
     PointNotOnCurve,
     SingularCurve,
 )
-from .modring import Modulus, RingElement, crt_ints, is_prime
-from .projective import ProjectivePoint, canonical_triple
+from .modring import Modulus, RingElement, crt_ints
+from .projective import ProjectivePoint, _crt_triple, canonical_triple
 
 
 class _AdditionCounter:
@@ -69,6 +69,31 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
+
+
+def _fp_root(a: int, b: int, x: int, p: int) -> int | None:
+    """A y with y^2 = x^3 + a x + b over F_p, or None when x has no point above it."""
+    return _sqrt_mod_prime((x * x * x + a * x + b) % p, p)
+
+
+def _hensel_lift(a: int, b: int, x: int, y: int, p: int, e: int) -> tuple[int, int]:
+    """Lift a point (x, y) of y^2 = x^3 + a x + b from F_p to Z/p^eZ.
+
+    Newton iteration at doubling precision corrects Y with X fixed,
+    Y <- Y + (rhs(X) - Y^2) / (2Y), while 2Y is a unit.  For 2-torsion
+    points (p | Y) the roles swap and X is corrected instead, 3X^2 + A
+    being a unit there on any nonsingular curve.
+    """
+    prec = 1
+    while prec < e:
+        prec = min(2 * prec, e)
+        m = p**prec
+        r = (x * x * x + a * x + b - y * y) % m
+        if y % p:
+            y = (y + r * pow(2 * y, -1, m)) % m
+        else:
+            x = (x - r * pow(3 * x * x + a, -1, m)) % m
+    return x, y
 
 
 class Curve:
@@ -150,6 +175,10 @@ class Curve:
         if self.n % modulus.n:
             raise ValueError(f"{modulus.n} does not divide {self.n}")
         return Curve(self.a % modulus.n, self.b % modulus.n, modulus)
+
+    def component(self, p: int, e: int) -> "Curve":
+        """The curve mod p^e, for a prime power p^e dividing N."""
+        return self if self.n == p**e else self.reduced(Modulus.prime_power(p, e))
 
     def reduce_point(self, point: "CurvePoint", target: "Curve") -> "CurvePoint":
         x, y, z = point.xyz
@@ -289,11 +318,10 @@ class Curve:
         unit), and the fiber over (0 : 1 : 0) is X -> (X : 1 : f(X)).
         """
         pe = p**e
-        cp = self if self.modulus.n == pe else self.reduced(Modulus.prime_power(p, e))
+        cp = self.component(p, e)
         base_affine = []
         for x0 in range(p):
-            r = (x0 * x0 * x0 + cp.a * x0 + cp.b) % p
-            y0 = _sqrt_mod_prime(r, p)
+            y0 = _fp_root(cp.a, cp.b, x0, p)
             if y0 is None:
                 continue
             base_affine.append((x0, y0))
@@ -304,16 +332,11 @@ class Curve:
             raise BudgetExceeded(f"{total} points exceeds budget {budget}")
         points = []
         for x0, y0 in base_affine:
-            if y0 != 0:
-                for t in range(p ** (e - 1)):
-                    x = x0 + t * p
-                    y = cp._lift_y(x, y0, pe)
-                    points.append((x, y, 1))
-            else:
-                for t in range(p ** (e - 1)):
-                    y = t * p
-                    x = cp._lift_x(x0, y, pe)
-                    points.append((x, y, 1))
+            for t in range(p ** (e - 1)):
+                # walk the fiber along the coordinate the lift keeps fixed
+                x, y = (x0 + t * p, y0) if y0 else (x0, t * p)
+                x, y = _hensel_lift(cp.a, cp.b, x, y, p, e)
+                points.append((x, y, 1))
         from .infinity import compute_f  # local import: infinity builds on curve
 
         f = compute_f(cp)
@@ -321,26 +344,6 @@ class Curve:
             x = t * p
             points.append((x % pe, 1, f.evaluate_int(x)))
         return points
-
-    def _lift_y(self, x: int, y0: int, pe: int) -> int:
-        """Newton-lift y0 with y0^2 = rhs(x) mod p to full precision mod p^e."""
-        c = (x * x % pe * x + self.a * x + self.b) % pe
-        y = y0
-        while True:
-            r = (y * y - c) % pe
-            if r == 0:
-                return y
-            y = (y - r * pow(2 * y, -1, pe)) % pe
-
-    def _lift_x(self, x0: int, y: int, pe: int) -> int:
-        """Newton-lift x0 against x^3 + A x + B - y^2 = 0 (derivative is a unit)."""
-        c = y * y % pe
-        x = x0
-        while True:
-            r = (x * x % pe * x + self.a * x + self.b - c) % pe
-            if r == 0:
-                return x
-            x = (x - r * pow(3 * x * x + self.a, -1, pe)) % pe
 
     def enumerate_points(self, budget: int | None = None) -> list["CurvePoint"]:
         """Every point of E(Z/NZ), canonical and sorted, CRT-glued from components.
@@ -353,22 +356,19 @@ class Curve:
         components = self.modulus.components()
         comp_points = []
         total = 1
-        for p, e, pe in components:
+        for p, e, _ in components:
             pts = self._component_points(p, e, budget)
             total *= len(pts)
             if total > budget:
                 raise BudgetExceeded(f"{total}+ points exceeds budget {budget}")
-            comp_points.append((pts, pe))
+            comp_points.append(pts)
         if len(components) == 1:
-            triples = comp_points[0][0]
+            triples = comp_points[0]
         else:
-            triples = []
-            for combo in itertools.product(*(pts for pts, _ in comp_points)):
-                coords = []
-                for i in range(3):
-                    value, _ = crt_ints([(part[i], pe) for part, (_, pe) in zip(combo, comp_points)])
-                    coords.append(value)
-                triples.append((coords[0], coords[1], coords[2]))
+            moduli = [pe for _, _, pe in components]
+            triples = [
+                _crt_triple(list(zip(combo, moduli))) for combo in itertools.product(*comp_points)
+            ]
         triples.sort()
         return [CurvePoint._make(self, t) for t in triples]
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import Curve, CurvePoint, new_curve
+from .curve import Curve, CurvePoint, _hensel_lift, new_curve
 from .errors import (
     LiftRetryExhausted,
     NotAnomalous,
@@ -38,12 +38,10 @@ def _as_triple(c: Curve, point) -> tuple[int, int, int]:
 def lift_point(c: Curve, point, e: int, target: Curve | None = None) -> CurvePoint:
     """Hensel-lift a point of E(F_p) to the given target curve mod p^e.
 
-    The X-coordinate stays put and Y is corrected by Newton iteration
-    Y <- Y - (Y^2 - rhs(X)) / (2Y) at doubling precision; 2Y is a unit
-    whenever Y is nonzero mod p.  For 2-torsion points (Y = 0) the roles
-    swap and X is corrected instead, 3X^2 + A being a unit there on any
-    nonsingular curve.  O lifts to O.  `target` may be any curve mod p^e
-    reducing to c; by default the coefficients are reused verbatim.
+    Newton iteration corrects Y with X fixed, or X with Y fixed for
+    2-torsion points (curve._hensel_lift).  O lifts to O.  `target` may
+    be any curve mod p^e reducing to c; by default the coefficients are
+    reused verbatim.
     """
     p, k = c.modulus.as_prime_power()
     if k != 1:
@@ -59,22 +57,7 @@ def lift_point(c: Curve, point, e: int, target: Curve | None = None) -> CurvePoi
     xyz = _as_triple(c, point)
     if xyz == (0, 1, 0):
         return target.identity()
-    x, y = xyz[0], xyz[1]
-    prec = 1
-    if y % p == 0:
-        # 2-torsion: solve X^3 + AX + B = Y^2 for X, Y pinned
-        while prec < e:
-            prec = min(2 * prec, e)
-            m = p**prec
-            fx = (x * x * x + target.a * x + target.b - y * y) % m
-            x = (x - fx * pow(3 * x * x + target.a, -1, m)) % m
-    else:
-        rhs = lambda m: (x * x * x + target.a * x + target.b) % m
-        while prec < e:
-            prec = min(2 * prec, e)
-            m = p**prec
-            y = (y - (y * y - rhs(m)) * pow(2 * y, -1, m)) % m
-    return target.point(x, y)
+    return target.point(*_hensel_lift(target.a, target.b, xyz[0], xyz[1], p, e))
 
 
 def theta(c: Curve, point) -> RingElement:

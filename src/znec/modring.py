@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NonInvertible, NotPrimePower, NotPrimitive
+from .errors import NonInvertible, NotPrimePower, ZnecError
 
 # Deterministic Miller-Rabin witnesses: this base set decides primality
 # correctly for every n < 3.317e24 (Sorenson-Webster).  Beyond that the
@@ -41,7 +40,7 @@ def is_prime(n: int) -> bool:
     """Miller-Rabin with a fixed witness set (deterministic below 3.3e24)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -156,8 +155,8 @@ class Modulus:
     """A modulus N >= 1 together with its factorization.
 
     The factorization may be supplied explicitly (mandatory in practice
-    for N beyond trial-division scale, e.g. p^2 for a 160-bit p); it is
-    validated against N.  N = 1 is allowed as the trivial ring so that
+    for N beyond trial-division scale, e.g. p^2 for a 160-bit p); it must
+    list distinct primes with exponents >= 1 and multiply to N.  N = 1 is allowed as the trivial ring so that
     quantities living mod p^(e-1) stay well-typed at e = 1.
     """
 
@@ -170,11 +169,17 @@ class Modulus:
             factorization = factorize(n) if n > 1 else ()
         else:
             factorization = tuple(sorted((int(p), int(e)) for p, e in factorization))
+            for i, (p, e) in enumerate(factorization):
+                if e < 1 or (i and factorization[i - 1][0] == p) or not is_prime(p):
+                    raise ZnecError(
+                        f"factorization {factorization} is not into distinct primes"
+                        f" with exponents >= 1: bad factor {p}^{e}"
+                    )
             check = 1
             for p, e in factorization:
                 check *= p**e
             if check != n:
-                raise ValueError(f"factorization {factorization} does not multiply to {n}")
+                raise ZnecError(f"factorization {factorization} does not multiply to {n}")
         self.n = n
         self.factorization = factorization
 
@@ -348,166 +353,9 @@ def crt_ints(pairs: list[tuple[int, int]]) -> tuple[int, int]:
     return value % modulus, modulus
 
 
-def crt_combine(residues) -> RingElement:
-    """CRT for a list of RingElements or (value, modulus) pairs.
-
-    >>> crt_combine([(1, 2), (2, 3)])
-    5 (mod 6)
-    """
-    pairs = []
-    for item in residues:
-        if isinstance(item, RingElement):
-            pairs.append((item.value, item.modulus.n))
-        else:
-            value, modulus = item
-            pairs.append((int(value), modulus.n if isinstance(modulus, Modulus) else int(modulus)))
-    value, modulus = crt_ints(pairs)
-    return Modulus(modulus).element(value)
-
-
-def is_primitive(values, modulus: Modulus) -> bool:
-    """True when the values generate the unit ideal of Z/NZ (gcd with N is 1)."""
-    g = modulus.n
-    for v in values:
-        g = math.gcd(g, int(v))
-        if g == 1:
-            return True
-    return g == 1
-
-
 def primitivity_gcd(values, modulus: Modulus) -> int:
     g = modulus.n
     for v in values:
         g = math.gcd(g, int(v))
     return g
 
-
-# --- minors and matrix rank over Z/NZ ---------------------------------------
-
-
-def _det(rows: list[list[int]], n: int) -> int:
-    """Determinant mod n by Laplace expansion; fine at the sizes minors see."""
-    size = len(rows)
-    if size == 1:
-        return rows[0][0] % n
-    if size == 2:
-        return (rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) % n
-    total = 0
-    for j, head in enumerate(rows[0]):
-        if head % n == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = head * _det(minor, n)
-        total += -term if j % 2 else term
-    return total % n
-
-
-def _as_int_rows(matrix) -> list[list[int]]:
-    return [[int(v) for v in row] for row in matrix]
-
-
-def minor_ideal_generators(matrix, modulus: Modulus, t: int) -> list[RingElement]:
-    """All t-by-t minors of the matrix, in row-major combination order."""
-    rows = _as_int_rows(matrix)
-    k, m = len(rows), len(rows[0]) if rows else 0
-    if not 1 <= t <= min(k, m):
-        raise ValueError(f"no {t}x{t} minors in a {k}x{m} matrix")
-    out = []
-    for ridx in itertools.combinations(range(k), t):
-        for cidx in itertools.combinations(range(m), t):
-            sub = [[rows[i][j] for j in cidx] for i in ridx]
-            out.append(modulus.element(_det(sub, modulus.n)))
-    return out
-
-
-@dataclass(frozen=True)
-class MinorIdealProfile:
-    """Matrix dimensions plus the t-by-t minor values for every order t."""
-
-    rows: int
-    cols: int
-    modulus: Modulus
-    generators: tuple[tuple[RingElement, ...], ...]
-
-    def order(self, t: int) -> tuple[RingElement, ...]:
-        return self.generators[t - 1]
-
-
-def minor_ideal_profile(matrix, modulus: Modulus) -> MinorIdealProfile:
-    rows = _as_int_rows(matrix)
-    k, m = len(rows), len(rows[0]) if rows else 0
-    gens = tuple(
-        tuple(minor_ideal_generators(rows, modulus, t)) for t in range(1, min(k, m) + 1)
-    )
-    return MinorIdealProfile(k, m, modulus, gens)
-
-
-def strong_rank(matrix, modulus: Modulus) -> int:
-    """Largest t such that some t-by-t minor is nonzero mod N (0 if none).
-
-    >>> strong_rank([[2, 0], [0, 3]], Modulus(6))
-    1
-    """
-    rows = _as_int_rows(matrix)
-    if not rows or not rows[0]:
-        return 0
-    for t in range(min(len(rows), len(rows[0])), 0, -1):
-        if any(g.value != 0 for g in minor_ideal_generators(rows, modulus, t)):
-            return t
-    return 0
-
-
-# --- primitive combinations of columns ---------------------------------------
-
-
-def _column_combo_mod_p(cols: list[list[int]], p: int) -> tuple[int, ...]:
-    """Coefficients over F_p making the combination a nonzero vector mod p.
-
-    Single columns are always enough over Z/NZ (some entry of a primitive
-    matrix is a unit mod p, hence its column is nonzero); the wider
-    searches are kept for rings where that shortcut is unavailable.
-    """
-    m = len(cols)
-
-    def nonzero(vec) -> bool:
-        return any(v % p for v in vec)
-
-    for i, col in enumerate(cols):
-        if nonzero(col):
-            return tuple(1 if j == i else 0 for j in range(m))
-    for i, j in itertools.combinations(range(m), 2):
-        for a, b in itertools.product(range(p), repeat=2):
-            if (a or b) and nonzero(a * u + b * v for u, v in zip(cols[i], cols[j])):
-                coeffs = [0] * m
-                coeffs[i], coeffs[j] = a, b
-                return tuple(coeffs)
-    for alpha in itertools.product(range(p), repeat=m):
-        if any(alpha) and nonzero(sum(a * c[r] for a, c in zip(alpha, cols)) for r in range(len(cols[0]))):
-            return tuple(alpha)
-    raise NotPrimitive(p, p)
-
-
-def primitive_combination(matrix, modulus: Modulus) -> list[RingElement]:
-    """Coefficients beta such that beta . columns is a primitive tuple.
-
-    Works prime by prime: pick coefficients over F_p that keep the
-    combination nonzero mod p, then CRT the per-prime choices.  The
-    entry set of the matrix must itself be primitive.
-    """
-    rows = _as_int_rows(matrix)
-    flat = [v for row in rows for v in row]
-    g = primitivity_gcd(flat, modulus)
-    if g != 1:
-        raise NotPrimitive(modulus.n, g)
-    cols = [list(col) for col in zip(*rows)]
-    per_prime: list[tuple[int, ...]] = []
-    moduli: list[int] = []
-    for p, e, pe in modulus.components():
-        per_prime.append(_column_combo_mod_p(cols, p))
-        moduli.append(pe)
-    m = len(cols)
-    betas = []
-    for i in range(m):
-        value, _ = crt_ints([(per_prime[k][i], moduli[k]) for k in range(len(moduli))])
-        betas.append(modulus.element(value))
-    return betas

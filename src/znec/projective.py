@@ -39,12 +39,15 @@ def canonical_triple(x: int, y: int, z: int, modulus: Modulus) -> tuple[int, int
     if len(components) == 1:
         p, _, pe = components[0]
         return _canonical_prime_power(x, y, z, p, pe)
-    parts = [(_canonical_prime_power(x, y, z, p, pe), pe) for p, _, pe in components]
-    coords = []
-    for i in range(3):
-        value, _ = crt_ints([(part[i], pe) for part, pe in parts])
-        coords.append(value)
-    return coords[0], coords[1], coords[2]
+    return _crt_triple([(_canonical_prime_power(x, y, z, p, pe), pe) for p, _, pe in components])
+
+
+def _crt_triple(parts) -> tuple[int, int, int]:
+    """Glue (triple, p^e) components into one triple mod their product, coordinate-wise."""
+    x, _ = crt_ints([(t[0], pe) for t, pe in parts])
+    y, _ = crt_ints([(t[1], pe) for t, pe in parts])
+    z, _ = crt_ints([(t[2], pe) for t, pe in parts])
+    return x, y, z
 
 
 class ProjectivePoint:
@@ -109,13 +112,3 @@ def make_point(modulus: Modulus, x, y, z) -> ProjectivePoint:
     """
     return ProjectivePoint(modulus, int(x), int(y), int(z))
 
-
-def canonicalize(point: ProjectivePoint) -> ProjectivePoint:
-    """Identity on stored points; exposed because raw triples also pass through it."""
-    return make_point(point.modulus, *point.xyz)
-
-
-def points_equal(a: ProjectivePoint, b: ProjectivePoint) -> bool:
-    if a.modulus.n != b.modulus.n:
-        raise ValueError(f"mixed moduli: {a.modulus.n} vs {b.modulus.n}")
-    return a.xyz == b.xyz

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import budgets
-from .curve import Curve, CurvePoint, _sqrt_mod_prime, point_order
+from .curve import Curve, CurvePoint, _fp_root, point_order
 from .errors import BudgetExceeded, NotAnomalous
-from .modring import Modulus, RingElement, factorize, is_prime
+from .modring import Modulus, RingElement, factorize, is_prime, vp_int
 
 NON_ANOMALOUS = "non-anomalous"
 CYCLIC = "cyclic"
@@ -162,21 +162,10 @@ def count_points_fp(c: Curve, budget: int | None = None) -> int:
     return _count_fp(c.a, c.b, p)
 
 
-def _val(x: int, l: int) -> int:
-    if x == 0:
-        return 1 << 30
-    v = 0
-    while x % l == 0:
-        x //= l
-        v += 1
-    return v
-
-
 def _random_point(c: Curve, p: int) -> tuple[int, int, int]:
     while True:
         x = _rng.randrange(p)
-        r = (x * x * x + c.a * x + c.b) % p
-        y = _sqrt_mod_prime(r, p)
+        y = _fp_root(c.a, c.b, x, p)
         if y is not None:
             if y and _rng.random() < 0.5:
                 y = p - y
@@ -210,7 +199,7 @@ def group_structure_fp(c: Curve, budget: int | None = None) -> FieldCurveData:
     qf = factorize(q)
     cap = 1
     for l, a in qf:
-        k = min(a // 2, _val(p - 1, l), _val(t - 2, l))
+        k = min(a // 2, vp_int(p - 1, l, a), vp_int(t - 2, l, a))
         cap *= l**k
     if cap == 1:
         return FieldCurveData(p, q, t, (q, 1))
@@ -218,7 +207,7 @@ def group_structure_fp(c: Curve, budget: int | None = None) -> FieldCurveData:
         pts = [pt.xyz for pt in c.enumerate_points(budget=max(q + 1, 10_001))]
         n2 = 1
         for l, a in qf:
-            kmax = min(a // 2, _val(p - 1, l), _val(t - 2, l))
+            kmax = min(a // 2, vp_int(p - 1, l, a), vp_int(t - 2, l, a))
             if kmax == 0:
                 continue
             b = 0
@@ -259,24 +248,20 @@ def anomalous_type(c: Curve) -> str:
     from .dlp import lift_point
 
     p, e = c.modulus.as_prime_power()
-    fp = c if e == 1 else c.reduced(Modulus.prime_power(p, 1))
+    fp = c.component(p, 1)
     q = _count_fp(fp.a, fp.b, p)
     if q % p:
         raise NotAnomalous(f"{fp!r} has {q} points, coprime to {p}")
     if e == 1:
         return CYCLIC
     cofactor = q // p
-    source = None
     for x in range(p):
-        rhs = (x * x * x + fp.a * x + fp.b) % p
-        for y in range(p):
-            if (y * y - rhs) % p:
-                continue
-            source = cofactor * fp.point(x, y)
-            if not source.is_identity():
-                break
-            source = None
-        if source is not None:
+        y = _fp_root(fp.a, fp.b, x, p)
+        if y is None:
+            continue
+        # (x, y) and (x, -y) die together under the cofactor: one root per x will do
+        source = cofactor * fp.point(x, y)
+        if not source.is_identity():
             break
     lifted = lift_point(fp, source, e, target=c)
     if c.scalar_xyz(p ** (e - 1), lifted.xyz) == (0, 1, 0):
@@ -303,8 +288,8 @@ def classify(c: Curve) -> GroupStructure:
     locals_: list[LocalStructure] = []
     pool: list[int] = []
     for p, e, pe in c.modulus.components():
-        comp = c if c.n == pe else c.reduced(Modulus.prime_power(p, e))
-        fp = comp if e == 1 else comp.reduced(Modulus.prime_power(p, 1))
+        comp = c.component(p, e)
+        fp = comp.component(p, 1)
         q = count_points_fp(fp)
         kernel_order = p ** (e - 1)
         shape = group_structure_fp(fp).shape
@@ -340,7 +325,7 @@ def phi_map(c: Curve, point: CurvePoint) -> tuple[CurvePoint, RingElement]:
     p, e = c.modulus.as_prime_power()
     if e > 5:
         raise ValueError(f"phi_map is only additive for e <= 5, got e = {e}")
-    fp = c if e == 1 else c.reduced(Modulus.prime_power(p, 1))
+    fp = c.component(p, 1)
     q = count_points_fp(fp)
     mult = c.scalar_xyz(q, point.xyz)
     if mult[1] != 1 or mult[0] % p:
@@ -389,14 +374,14 @@ def brute_force_structure(c: Curve, budget: int | None = None) -> GroupStructure
     if budget is None:
         budget = budgets.resolve(budgets.BRUTE_FORCE_POINTS)
     total = 1
-    for p, e, pe in c.modulus.components():
-        fp = c.reduced(Modulus.prime_power(p, 1)) if c.n != p else c
+    for p, e, _ in c.modulus.components():
+        fp = c.component(p, 1)
         total *= p ** (e - 1) * count_points_fp(fp)
     if total > budget:
         raise BudgetExceeded(f"{total} points exceeds brute-force budget {budget}")
     pool: list[int] = []
-    for p, e, pe in c.modulus.components():
-        comp = c if c.n == pe else c.reduced(Modulus.prime_power(p, e))
+    for p, e, _ in c.modulus.components():
+        comp = c.component(p, e)
         triples = comp._component_points(p, e, budget)
         pool.extend(_component_elementary_divisors(comp, triples))
     return GroupStructure(c.n, invariant_factors(pool))

@@ -92,6 +92,13 @@ def test_singular_curve_exits_2(capsys):
     assert "discriminant" in err and "25" in err  # names the offending divisor
 
 
+def test_f_poly_rejects_composite_p_exits_2(capsys):
+    code, out, err = run(capsys, "f-poly", "--a", "2", "--b", "3", "--p", "49", "--e", "4")
+    assert code == 2
+    assert out == ""
+    assert "49^4" in err  # names the offending factor
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["structure", "--a", "1", "--b", "1"])

@@ -3,22 +3,18 @@ import random
 
 import pytest
 
-from znec.errors import NonInvertible, NotPrimePower, NotPrimitive
+from znec.curve import new_curve
+from znec.errors import NonInvertible, NotPrimePower, ZnecError
 from znec.modring import (
     Modulus,
     RingElement,
     _introot,
     _perfect_power,
-    crt_combine,
     crt_ints,
     factorize,
     inverse,
     is_prime,
-    is_primitive,
-    minor_ideal_profile,
-    primitive_combination,
     primitivity_gcd,
-    strong_rank,
     vp,
     vp_int,
 )
@@ -105,6 +101,29 @@ def test_modulus_validation():
     assert Modulus.prime_power(5, 2).as_prime_power() == (5, 2)
 
 
+@pytest.mark.parametrize(
+    "n, factorization",
+    [
+        (1225, ((35, 2),)),  # composite "prime"
+        (25, ((5, 1), (5, 1))),  # repeated prime
+        (7, ((7, 1), (11, 0))),  # zero exponent
+        (49**4, ((49, 4),)),  # prime power passed as the prime
+        (45, ((3, 1), (5, 1))),  # does not multiply to N
+    ],
+)
+def test_modulus_rejects_malformed_factorization(n, factorization):
+    with pytest.raises(ZnecError):
+        Modulus(n, factorization)
+
+
+def test_new_curve_rejects_malformed_factorization():
+    # each of these used to classify silently, as Z/1435 and Z/9 + Z/9
+    with pytest.raises(ZnecError):
+        new_curve(1, 6, 1225, factorization=((35, 2),))
+    with pytest.raises(ZnecError):
+        new_curve(1, 6, 25, factorization=((5, 1), (5, 1)))
+
+
 @pytest.mark.parametrize("n", [7, 25, 35, 187187])
 def test_ring_element_arithmetic_matches_ints(n):
     m = Modulus(n)
@@ -153,92 +172,8 @@ def test_crt_matches_oracle():
         crt_ints([(1, 6), (2, 15)])
 
 
-def test_crt_combine_accepts_elements_and_pairs():
-    assert crt_combine([(1, 2), (2, 3)]).value == 5
-    x = crt_combine([Modulus(5).element(3), (4, Modulus(7))])
-    assert x.modulus.n == 35 and x.value % 5 == 3 and x.value % 7 == 4
-
-
 def test_primitivity():
     m = Modulus(35)
-    assert is_primitive((5, 7), m)
-    assert not is_primitive((5, 15), m)
     assert primitivity_gcd((5, 15), m) == 5
     assert primitivity_gcd((0, 0), m) == 35
 
-
-def _brute_minor_rank(rows, n):
-    import itertools
-
-    k, m = len(rows), len(rows[0])
-
-    def det(sub):
-        size = len(sub)
-        if size == 1:
-            return sub[0][0] % n
-        total = 0
-        for perm in itertools.permutations(range(size)):
-            sign = 1
-            seen = list(perm)
-            for i in range(size):
-                for j in range(i + 1, size):
-                    if seen[i] > seen[j]:
-                        sign = -sign
-            term = sign
-            for i in range(size):
-                term *= sub[i][perm[i]]
-            total += term
-        return total % n
-
-    best = 0
-    for t in range(1, min(k, m) + 1):
-        for ridx in itertools.combinations(range(k), t):
-            for cidx in itertools.combinations(range(m), t):
-                if det([[rows[i][j] for j in cidx] for i in ridx]) != 0:
-                    best = t
-    return best
-
-
-@pytest.mark.parametrize("n", [6, 12, 35])
-def test_strong_rank_matches_brute_force(n):
-    m = Modulus(n)
-    assert strong_rank([[2, 0], [0, 3]], Modulus(6)) == 1
-    for _ in range(25):
-        rows = [[rng.randrange(n) for _ in range(3)] for _ in range(3)]
-        assert strong_rank(rows, m) == _brute_minor_rank(rows, n)
-
-
-def test_minor_ideal_profile_shape():
-    prof = minor_ideal_profile([[1, 2, 3], [4, 5, 6]], Modulus(7))
-    assert (prof.rows, prof.cols) == (2, 3)
-    assert len(prof.order(1)) == 6
-    assert len(prof.order(2)) == 3
-
-
-@pytest.mark.parametrize("n", [5, 12, 35, 245])
-def test_primitive_combination(n):
-    m = Modulus(n)
-    for _ in range(40):
-        rows = [[rng.randrange(n) for _ in range(3)] for _ in range(3)]
-        flat = [v for row in rows for v in row]
-        if primitivity_gcd(flat, m) != 1:
-            with pytest.raises(NotPrimitive):
-                primitive_combination(rows, m)
-            continue
-        # the matrix may still have a zero column pattern mod some p
-        # making no combination primitive; detect by direct check per prime
-        degenerate = any(
-            all(v % p == 0 for row in rows for v in row) for p in m.primes()
-        )
-        assert not degenerate
-        betas = primitive_combination(rows, m)
-        combo = [
-            sum(b.value * rows[r][j] for j, b in enumerate(betas)) % n
-            for r in range(3)
-        ]
-        assert is_primitive(combo, m), (rows, combo)
-
-
-def test_primitive_combination_rejects_common_divisor():
-    with pytest.raises(NotPrimitive):
-        primitive_combination([[5, 10], [15, 20]], Modulus(35))
