@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import ZnecError
+
 ENUMERATE_POINTS = 1_000_000
 COUNT_FIELD_POINTS = 10_000_000
 BRUTE_FORCE_POINTS = 100_000
@@ -21,7 +23,7 @@ def resolve(default: int) -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ValueError(f"ZNEC_BUDGET must be an integer, got {raw!r}") from exc
+        raise ZnecError(f"ZNEC_BUDGET must be an integer, got {raw!r}") from exc
     if value <= 0:
-        raise ValueError(f"ZNEC_BUDGET must be positive, got {value}")
+        raise ZnecError(f"ZNEC_BUDGET must be positive, got {value}")
     return value

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .curve import new_curve, point_order
+from .curve import new_curve
 from .dlp import DlpInstance, solve_anomalous_dlp
 from .errors import ZnecError
 from .infinity import compute_f

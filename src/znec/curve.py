@@ -3,11 +3,11 @@
 The curve is the short Weierstrass model Y^2 Z = X^3 + A X Z^2 + B Z^3 in
 P^2(Z/NZ), with gcd(6, N) = 1 and the discriminant -(4A^3 + 27B^2) a unit.
 Addition evaluates two bidegree-(2,2) polynomial triples S and T that
-together cover all input pairs: whenever one output is primitive it is a
-representative of the sum, and in the remaining mixed cases a primitive
-linear combination of the two outputs is formed prime by prime and glued
-with CRT.  There is no case split on the inputs, so points over infinity
-(Z not a unit) are handled by the same formulas as affine ones.
+together cover all input pairs.  Over each Z/p^eZ whichever output is
+primitive mod p represents the sum, so the sum is chosen prime by prime
+(S where it is primitive, else T), canonicalized, and glued with CRT.
+There is no case split on the inputs, so points over infinity (Z not a
+unit) are handled by the same formulas as affine ones.
 """
 
 from __future__ import annotations
@@ -22,9 +22,11 @@ from .errors import (
     BudgetExceeded,
     PointNotOnCurve,
     SingularCurve,
+    ZnecError,
 )
+# crt_ints is not called here; bench/tracer.py patches znec.curve.crt_ints by name
 from .modring import Modulus, RingElement, crt_ints
-from .projective import ProjectivePoint, _crt_triple, canonical_triple
+from .projective import ProjectivePoint, _canonical_prime_power, _crt_triple, canonical_triple
 
 
 class _AdditionCounter:
@@ -104,7 +106,7 @@ class Curve:
     def __init__(self, a: int, b: int, modulus: Modulus):
         n = modulus.n
         if n < 2:
-            raise ValueError(f"modulus must be at least 2: {n}")
+            raise ZnecError(f"modulus must be at least 2: {n}")
         g6 = math.gcd(6, n)
         if g6 != 1:
             raise BadCharacteristic(n, g6)
@@ -253,31 +255,18 @@ class Curve:
     def add_xyz(self, p1: tuple[int, int, int], p2: tuple[int, int, int]) -> tuple[int, int, int]:
         """Canonical triple of p1 + p2.  Inputs must be on the curve.
 
-        Returns the S output when it is primitive, else the T output, else
-        the per-prime combination of the two (Z/NZ always admits one).
+        Prime by prime, the canonical form of the S output when it is
+        primitive mod p, else that of T, glued with CRT.
         """
         ADDITIONS.value += 1
-        n = self.n
         s, t = self._laws(p1, p2)
-        g = math.gcd(math.gcd(s[0], s[1]), math.gcd(s[2], n))
-        if g == 1:
-            return canonical_triple(s[0], s[1], s[2], self.modulus)
-        g = math.gcd(math.gcd(t[0], t[1]), math.gcd(t[2], n))
-        if g == 1:
-            return canonical_triple(t[0], t[1], t[2], self.modulus)
-        # Mixed case: choose S or T prime by prime, then CRT the choices.
-        pairs = []
+        parts = []
         for p, _, pe in self.modulus.components():
-            if any(c % p for c in s):
-                pairs.append(((1, 0), pe))
-            elif any(c % p for c in t):
-                pairs.append(((0, 1), pe))
-            else:
+            part = _canonical_prime_power(*s, p, pe) or _canonical_prime_power(*t, p, pe)
+            if part is None:
                 raise BothLawsVanish(p)
-        u, _ = crt_ints([(choice[0], pe) for choice, pe in pairs])
-        v, _ = crt_ints([(choice[1], pe) for choice, pe in pairs])
-        combo = tuple((u * si + v * ti) % n for si, ti in zip(s, t))
-        return canonical_triple(combo[0], combo[1], combo[2], self.modulus)
+            parts.append((part, pe))
+        return _crt_triple(parts)
 
     def neg_xyz(self, p: tuple[int, int, int]) -> tuple[int, int, int]:
         x, y, z = p
@@ -362,14 +351,10 @@ class Curve:
             if total > budget:
                 raise BudgetExceeded(f"{total}+ points exceeds budget {budget}")
             comp_points.append(pts)
-        if len(components) == 1:
-            triples = comp_points[0]
-        else:
-            moduli = [pe for _, _, pe in components]
-            triples = [
-                _crt_triple(list(zip(combo, moduli))) for combo in itertools.product(*comp_points)
-            ]
-        triples.sort()
+        moduli = [pe for _, _, pe in components]
+        triples = sorted(
+            _crt_triple(list(zip(combo, moduli))) for combo in itertools.product(*comp_points)
+        )
         return [CurvePoint._make(self, t) for t in triples]
 
 

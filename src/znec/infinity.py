@@ -1,8 +1,8 @@
 """The points of E(Z/p^eZ) lying over (0 : 1 : 0), and their arithmetic.
 
-Substituting Z = X^3 + A X Z^2 + B Z^3 into itself while discarding total
-degree >= e (those monomials vanish when both arguments are divisible by
-p) stabilizes on a single-variable polynomial f with f(X) = X^3 + A X^7 +
+On the chart Y = 1 the curve reads Z = X^3 + A X Z^2 + B Z^3.  Its
+solution Z = f(X) mod X^e (terms of degree >= e vanish when p | X) is
+the fixed point of that equation, a polynomial f(X) = X^3 + A X^7 +
 B X^9 + ... of degree < e.  The points over infinity are then exactly
 (X : 1 : f(X)) for the p^(e-1) values X divisible by p, they form the
 kernel of reduction mod p, and that kernel is cyclic generated by
@@ -15,39 +15,15 @@ from __future__ import annotations
 from .curve import Curve, CurvePoint
 from .modring import RingElement, vp_int
 
-_Poly = dict[tuple[int, int], int]
 
-
-def _poly_mul(f: _Poly, g: _Poly, cap: int, pe: int) -> _Poly:
-    out: _Poly = {}
-    for (i1, j1), c1 in f.items():
-        for (i2, j2), c2 in g.items():
-            i, j = i1 + i2, j1 + j2
-            if i + j > cap:
-                continue
-            c = (out.get((i, j), 0) + c1 * c2) % pe
-            out[(i, j)] = c
-    return {k: c for k, c in out.items() if c}
-
-
-def _substitute_z(f: _Poly, f0: _Poly, cap: int, pe: int) -> _Poly:
-    """f(x, z) -> f(x, f0(x, z)), truncated to total degree <= cap."""
-    powers: dict[int, _Poly] = {0: {(0, 0): 1}}
-
-    def f0_power(j: int) -> _Poly:
-        if j not in powers:
-            powers[j] = _poly_mul(f0_power(j - 1), f0, cap, pe)
-        return powers[j]
-
-    out: _Poly = {}
-    for (i, j), c in f.items():
-        for (i2, j2), c2 in f0_power(j).items():
-            di, dj = i + i2, j2
-            if di + dj > cap:
-                continue
-            v = (out.get((di, dj), 0) + c * c2) % pe
-            out[(di, dj)] = v
-    return {k: c for k, c in out.items() if c}
+def _mul_trunc(f: list[int], g: list[int], e: int, pe: int) -> list[int]:
+    """f * g mod (x^e, p^e) on coefficient lists of length e."""
+    out = [0] * e
+    for i, c in enumerate(f):
+        if c:
+            for j in range(e - i):
+                out[i + j] += c * g[j]
+    return [c % pe for c in out]
 
 
 class InfinityPolynomial:
@@ -87,31 +63,26 @@ class InfinityPolynomial:
 
 
 def compute_f(curve: Curve) -> InfinityPolynomial:
-    """Iterate Z <- X^3 + A X Z^2 + B Z^3 to its stable truncation.
+    """The fixed point of f = x^3 + A x f^2 + B f^3 mod (x^e, p^e).
 
-    Each substitution strictly raises the total degree of every monomial
-    still containing z, so after finitely many rounds only pure-x terms
-    of degree < e survive.  For e <= 3 everything truncates away and
+    The right-hand side of two candidates that agree mod x^k agrees mod
+    x^(k+4), since f has no terms below x^3; so iterating from f = 0
+    stabilizes within e passes.  For e <= 3 everything truncates away and
     f = 0; for e = 10 the result is exactly x^3 + A x^7 + B x^9.
     """
     p, e = curve.modulus.as_prime_power()
     pe = curve.n
-    cap = e - 1
-    f0: _Poly = {}
-    for key, c in (((3, 0), 1), ((1, 2), curve.a), ((0, 3), curve.b)):
-        if sum(key) <= cap and c % pe:
-            f0[key] = c % pe
-    f = dict(f0)
-    for _ in range(e + 1):
-        if all(j == 0 for (_, j) in f):
+    f = [0] * e
+    for _ in range(e):
+        f2 = _mul_trunc(f, f, e, pe)
+        f3 = _mul_trunc(f2, f, e, pe)
+        nxt = [(curve.a * u + curve.b * v) % pe for u, v in zip([0] + f2, f3)]  # x f^2 is f2 shifted
+        if e > 3:
+            nxt[3] = (nxt[3] + 1) % pe
+        if nxt == f:
             break
-        f = _substitute_z(f, f0, cap, pe)
-    else:
-        raise RuntimeError("substitution failed to stabilize")  # unreachable
-    coeffs = [0] * e
-    for (i, _), c in f.items():
-        coeffs[i] = c
-    return InfinityPolynomial(curve, p, e, tuple(coeffs))
+        f = nxt
+    return InfinityPolynomial(curve, p, e, tuple(f))
 
 
 def infinity_point(curve: Curve, x: int, f: InfinityPolynomial | None = None) -> CurvePoint:

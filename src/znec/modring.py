@@ -160,11 +160,11 @@ class Modulus:
     quantities living mod p^(e-1) stay well-typed at e = 1.
     """
 
-    __slots__ = ("n", "factorization")
+    __slots__ = ("n", "factorization", "_components")
 
     def __init__(self, n: int, factorization: tuple[tuple[int, int], ...] | None = None):
         if n < 1:
-            raise ValueError(f"modulus must be positive: {n}")
+            raise ZnecError(f"modulus must be positive: {n}")
         if factorization is None:
             factorization = factorize(n) if n > 1 else ()
         else:
@@ -182,6 +182,7 @@ class Modulus:
                 raise ZnecError(f"factorization {factorization} does not multiply to {n}")
         self.n = n
         self.factorization = factorization
+        self._components = tuple((p, e, p**e) for p, e in factorization)
 
     @classmethod
     def prime_power(cls, p: int, e: int) -> "Modulus":
@@ -192,7 +193,7 @@ class Modulus:
 
     def components(self) -> tuple[tuple[int, int, int], ...]:
         """(p, e, p^e) for each prime-power component."""
-        return tuple((p, e, p**e) for p, e in self.factorization)
+        return self._components
 
     def as_prime_power(self) -> tuple[int, int]:
         if len(self.factorization) != 1:

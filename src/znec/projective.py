@@ -10,14 +10,12 @@ prime-power component and glue back with CRT.
 
 from __future__ import annotations
 
-import math
-
 from .errors import NotPrimitive
 from .modring import Modulus, RingElement, crt_ints, primitivity_gcd
 
 
-def _canonical_prime_power(x: int, y: int, z: int, p: int, pe: int) -> tuple[int, int, int]:
-    x, y, z = x % pe, y % pe, z % pe
+def _canonical_prime_power(x: int, y: int, z: int, p: int, pe: int) -> tuple[int, int, int] | None:
+    """The canonical form of (x : y : z) over Z/p^eZ, or None if p divides all three."""
     if z % p:
         inv = pow(z, -1, pe)
         return x * inv % pe, y * inv % pe, 1
@@ -27,23 +25,24 @@ def _canonical_prime_power(x: int, y: int, z: int, p: int, pe: int) -> tuple[int
     if x % p:
         inv = pow(x, -1, pe)
         return 1, y * inv % pe, z * inv % pe
-    raise NotPrimitive(pe, math.gcd(math.gcd(x, y), math.gcd(z, pe)))
+    return None
 
 
 def canonical_triple(x: int, y: int, z: int, modulus: Modulus) -> tuple[int, int, int]:
     """The canonical representative of (x : y : z) as integers in [0, N)."""
-    g = primitivity_gcd((x, y, z), modulus)
-    if g != 1:
-        raise NotPrimitive(modulus.n, g)
-    components = modulus.components()
-    if len(components) == 1:
-        p, _, pe = components[0]
-        return _canonical_prime_power(x, y, z, p, pe)
-    return _crt_triple([(_canonical_prime_power(x, y, z, p, pe), pe) for p, _, pe in components])
+    parts = []
+    for p, _, pe in modulus.components():
+        part = _canonical_prime_power(x, y, z, p, pe)
+        if part is None:
+            raise NotPrimitive(modulus.n, primitivity_gcd((x, y, z), modulus))
+        parts.append((part, pe))
+    return _crt_triple(parts)
 
 
 def _crt_triple(parts) -> tuple[int, int, int]:
     """Glue (triple, p^e) components into one triple mod their product, coordinate-wise."""
+    if len(parts) == 1:
+        return parts[0][0]
     x, _ = crt_ints([(t[0], pe) for t, pe in parts])
     y, _ = crt_ints([(t[1], pe) for t, pe in parts])
     z, _ = crt_ints([(t[2], pe) for t, pe in parts])

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 from . import budgets
-from .curve import Curve, new_curve
-from .errors import NoCurveOfOrderP, SearchBudgetExceeded, SingularCurve
+from .curve import new_curve
+from .errors import NoCurveOfOrderP, SearchBudgetExceeded, ZnecError
 from .modring import crt_ints, is_prime
 from .structure import (
     SPLIT,
@@ -67,7 +67,7 @@ def hasse_primes(p: int) -> tuple[int, ...]:
     (7, 11, 13, 17, 19)
     """
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ZnecError(f"{p} is not prime")
     radius = math.isqrt(4 * p) + 1
     lo = max(2, p + 1 - radius)
     return tuple(q for q in range(lo, p + 2 + radius) if (q - p - 1) ** 2 <= 4 * p and is_prime(q))
@@ -76,6 +76,24 @@ def hasse_primes(p: int) -> tuple[int, ...]:
 def chi_candidates(p: int) -> tuple[int, ...]:
     """The prime members of {p^2 - p + 1, p^2 + p + 1} (at most one for p > 3)."""
     return tuple(q for q in (p * p - p + 1, p * p + p + 1) if is_prime(q))
+
+
+def _curves_of_order(q: int, order: int, budget: int, search: str):
+    """Nonsingular (A, B) over F_q with exactly `order` points, in lexicographic order.
+
+    Each counted curve charges q against the budget; passing it raises
+    SearchBudgetExceeded, naming the search.
+    """
+    spent = 0
+    for a in range(q):
+        for b in range(q):
+            if (4 * a * a * a + 27 * b * b) % q == 0:
+                continue
+            spent += q
+            if spent > budget:
+                raise SearchBudgetExceeded(f"{search} over F_{q} passed {budget} operations")
+            if _count_fp(a, b, q) == order:
+                yield a, b
 
 
 def chi_p(p: int, budget: int | None = None) -> tuple[int, tuple[int, int, int] | None]:
@@ -89,25 +107,13 @@ def chi_p(p: int, budget: int | None = None) -> tuple[int, tuple[int, int, int] 
     search budget and gives up with SearchBudgetExceeded beyond it.
     """
     if p < 5 or not is_prime(p):
-        raise ValueError(f"p must be a prime >= 5, got {p}")
+        raise ZnecError(f"p must be a prime >= 5, got {p}")
     if budget is None:
         budget = budgets.resolve(budgets.CURVE_SEARCH)
     for q in chi_candidates(p):
-        spent = 0
-        for a in range(q):
-            for b in range(q):
-                if (4 * a * a * a + 27 * b * b) % q == 0:
-                    continue
-                spent += q
-                if spent > budget:
-                    raise SearchBudgetExceeded(
-                        f"chi search over F_{q} passed {budget} operations"
-                    )
-                if _count_fp(a, b, q) != p * p:
-                    continue
-                shape = group_structure_fp(new_curve(a, b, q)).shape
-                if shape == (p, p):
-                    return 2, (q, a, b)
+        for a, b in _curves_of_order(q, p * p, budget, "chi search"):
+            if group_structure_fp(new_curve(a, b, q)).shape == (p, p):
+                return 2, (q, a, b)
     return 0, None
 
 
@@ -138,16 +144,8 @@ def _curve_of_order_p(q: int, p: int, budget: int) -> tuple[int, int]:
     """Lex-smallest (A, B) over F_q with exactly p points."""
     if (p - q - 1) ** 2 > 4 * q:
         raise NoCurveOfOrderP(q, p)
-    spent = 0
-    for a in range(q):
-        for b in range(q):
-            if (4 * a * a * a + 27 * b * b) % q == 0:
-                continue
-            spent += q
-            if spent > budget:
-                raise SearchBudgetExceeded(f"order-{p} search over F_{q} passed {budget} operations")
-            if _count_fp(a, b, q) == p:
-                return a, b
+    for a, b in _curves_of_order(q, p, budget, f"order-{p} search"):
+        return a, b
     raise NoCurveOfOrderP(q, p)
 
 

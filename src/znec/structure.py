@@ -196,23 +196,19 @@ def group_structure_fp(c: Curve, budget: int | None = None) -> FieldCurveData:
     t = p + 1 - q
     if q == 1 or is_prime(q):
         return FieldCurveData(p, q, t, (q, 1))
-    qf = factorize(q)
-    cap = 1
-    for l, a in qf:
-        k = min(a // 2, vp_int(p - 1, l, a), vp_int(t - 2, l, a))
-        cap *= l**k
-    if cap == 1:
+    # l^kmax[l] bounds the l-part of n2
+    kmax = {l: min(a // 2, vp_int(p - 1, l, a), vp_int(t - 2, l, a)) for l, a in factorize(q)}
+    if all(k == 0 for k in kmax.values()):
         return FieldCurveData(p, q, t, (q, 1))
     if q <= 10_000:
         pts = [pt.xyz for pt in c.enumerate_points(budget=max(q + 1, 10_001))]
         n2 = 1
-        for l, a in qf:
-            kmax = min(a // 2, vp_int(p - 1, l, a), vp_int(t - 2, l, a))
-            if kmax == 0:
+        for l, k_l in kmax.items():
+            if k_l == 0:
                 continue
             b = 0
             level = pts
-            for k in range(1, kmax + 1):
+            for k in range(1, k_l + 1):
                 level = [c.scalar_xyz(l, pt) for pt in level]
                 kills = sum(1 for pt in level if pt == (0, 1, 0))
                 if kills >= l ** (2 * k):

@@ -127,8 +127,29 @@ def test_budget_env_respected(capsys, monkeypatch):
     assert out == ""
     assert "budget" in err.lower()
     monkeypatch.setenv("ZNEC_BUDGET", "banana")
-    with pytest.raises(ValueError):
-        cli.main(["structure", "--a", "7", "--b", "3", "--n", "169"])
+    code, out, err = run(capsys, "structure", "--a", "7", "--b", "3", "--n", "169")
+    assert (code, out) == (2, "")
+    assert "ZNEC_BUDGET" in err
+
+
+@pytest.mark.parametrize(
+    "budget,argv",
+    [
+        (None, ["rank-bound", "--p", "12"]),
+        (None, ["structure", "--a", "1", "--b", "1", "--n", "1"]),
+        (None, ["structure", "--a", "1", "--b", "1", "--n", "0"]),
+        ("abc", ["structure", "--a", "7", "--b", "3", "--n", "169"]),
+        ("0", ["structure", "--a", "7", "--b", "3", "--n", "169"]),
+    ],
+)
+def test_precondition_failures_exit_2(capsys, monkeypatch, budget, argv):
+    if budget is None:
+        monkeypatch.delenv("ZNEC_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("ZNEC_BUDGET", budget)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"znec {argv[0]}: ") and err.count("\n") == 1
 
 
 def test_entry_point_module():

@@ -115,6 +115,26 @@ def test_add_xyz_reduces_componentwise():
             assert got == want
 
 
+def test_mixed_pairs_choose_the_law_per_prime():
+    # over Z/221 = 13 * 17 some pairs have neither S nor T primitive mod N;
+    # their sum takes S mod one prime and T mod the other
+    a, b, n = 1, 6, 221
+    c = new_curve(a, b, n)
+    pts = [P.xyz for P in c.enumerate_points()]
+    mixed, rest = [], []
+    for P in pts:
+        for Q in pts:
+            s, t = c._laws(P, Q)
+            neither = math.gcd(*s, n) > 1 and math.gcd(*t, n) > 1
+            (mixed if neither else rest).append((P, Q))
+    assert mixed
+    for P, Q in mixed + random.Random(221).sample(rest, 400):
+        R = c.add_xyz(P, Q)
+        for p in (13, 17):
+            want = affine_add(a, b, p, _to_affine(tuple(v % p for v in P)), _to_affine(tuple(v % p for v in Q)))
+            assert _to_affine(tuple(v % p for v in R)) == want, (P, Q)
+
+
 @pytest.mark.parametrize("a,b,p", FIELD_CURVES)
 def test_scalar_mul_matches_repeated_addition(a, b, p):
     c = new_curve(a, b, p)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from znec.curve import new_curve, point_order
+from znec.curve import CurvePoint, new_curve, point_order
 from znec.infinity import (
     compute_f,
     infinity_point,
@@ -15,10 +15,10 @@ from znec.modring import Modulus, vp_int
 rng = random.Random(0x1F1F)
 
 
-def _random_curve(p, e):
+def _random_curve(p, e, r=rng):
     pe = p**e
     while True:
-        a, b = rng.randrange(pe), rng.randrange(pe)
+        a, b = r.randrange(pe), r.randrange(pe)
         if (4 * a**3 + 27 * b**2) % p:
             return new_curve(a, b, pe, factorization=((p, e),))
 
@@ -116,3 +116,16 @@ def test_x_coordinate_nearly_additive(p, e):
         floor = min(e, 5 * min(vp_int(x1, p, e), vp_int(x2, p, e)))
         assert val >= floor
         assert (x3.value - x1 - x2) % p**floor == 0
+
+
+@pytest.mark.parametrize("p,e", [(5, 12), (7, 13)])
+def test_f_puts_points_on_curve_past_e10(p, e):
+    # the closed form above stops at x^9; here the x^10 and x^11 terms count too
+    r = random.Random(p**e)  # own stream: the curve must not depend on which tests ran first
+    c = _random_curve(p, e, r)
+    while c.a % p == 0:  # the x^11 coefficient is 2A^2; keep it a unit
+        c = _random_curve(p, e, r)
+    f = compute_f(c)
+    for _ in range(20):
+        x = r.randrange(0, p**e, p)
+        CurvePoint(c, (x, 1, f.evaluate_int(x)))  # raises PointNotOnCurve if f is off
