@@ -13,8 +13,7 @@ from .curve import ADDITIONS, Curve, CurvePoint, new_curve, point_order
 from .dlp import DlpInstance, lift_point, solve_anomalous_dlp, theta
 from .errors import ZnecError
 from .infinity import compute_f, infinity_points, kernel_generator
-from .modring import Modulus, RingElement, crt_ints, factorize, is_prime
-from .projective import ProjectivePoint, make_point
+from .modring import Modulus, crt_ints, factorize, is_prime
 from .rank import construct_max_rank_curve, hasse_primes, rank_bound
 from .structure import (
     GroupStructure,
@@ -35,8 +34,6 @@ __all__ = [
     "DlpInstance",
     "GroupStructure",
     "Modulus",
-    "ProjectivePoint",
-    "RingElement",
     "ZnecError",
     "brute_force_structure",
     "classify",
@@ -52,7 +49,6 @@ __all__ = [
     "is_prime",
     "kernel_generator",
     "lift_point",
-    "make_point",
     "new_curve",
     "phi_map",
     "point_order",

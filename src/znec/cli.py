@@ -4,7 +4,8 @@ Output is designed for scripting: deterministic ordering, big integers
 as decimal strings in JSON (nothing is ever truncated to 64 bits), and
 exit codes that separate usage errors (1) from mathematical
 precondition failures such as a singular curve or a non-anomalous dlp
-input (2).  ZNEC_BUDGET scales the enumeration and counting budgets.
+input (2) and from failed internal self-checks (3).  ZNEC_BUDGET scales
+the enumeration and counting budgets.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 
 from .curve import new_curve
 from .dlp import DlpInstance, solve_anomalous_dlp
-from .errors import ZnecError
+from .errors import SelfCheckFailed, ZnecError
 from .infinity import compute_f
 from .rank import construct_max_rank_curve, rank_bound
 from .structure import classify
@@ -135,6 +136,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except SelfCheckFailed as exc:
+        print(f"znec {args.command}: self-check failed: {exc}", file=sys.stderr)
+        return 3
     except ZnecError as exc:
         print(f"znec {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -25,8 +25,8 @@ from .errors import (
     ZnecError,
 )
 # crt_ints is not called here; bench/tracer.py patches znec.curve.crt_ints by name
-from .modring import Modulus, RingElement, crt_ints
-from .projective import ProjectivePoint, _canonical_prime_power, _crt_triple, canonical_triple
+from .modring import Modulus, crt_ints
+from .projective import _canonical_prime_power, _crt_triple, canonical_triple
 
 
 class _AdditionCounter:
@@ -105,8 +105,6 @@ class Curve:
 
     def __init__(self, a: int, b: int, modulus: Modulus):
         n = modulus.n
-        if n < 2:
-            raise ZnecError(f"modulus must be at least 2: {n}")
         g6 = math.gcd(6, n)
         if g6 != 1:
             raise BadCharacteristic(n, g6)
@@ -144,14 +142,6 @@ class Curve:
     def __repr__(self) -> str:
         return f"E_{{{self.a},{self.b}}}(Z/{self.n})"
 
-    def discriminant(self) -> RingElement:
-        return self.modulus.element(self.disc)
-
-    def rhs(self, x: int) -> int:
-        """x^3 + A x + B mod N."""
-        n = self.n
-        return (pow(x, 3, n) + self.a * x + self.b) % n
-
     def identity(self) -> "CurvePoint":
         return CurvePoint._make(self, (0, 1, 0))
 
@@ -168,24 +158,17 @@ class Curve:
     def contains(self, point) -> bool:
         if isinstance(point, CurvePoint):
             return point.curve == self and self.on_curve_triple(point.xyz)
-        if isinstance(point, ProjectivePoint):
-            return point.modulus.n == self.n and self.on_curve_triple(point.xyz)
         return self.on_curve_triple(tuple(int(c) for c in point))
 
     def reduced(self, modulus: Modulus) -> "Curve":
         """The curve mod M for M | N."""
         if self.n % modulus.n:
-            raise ValueError(f"{modulus.n} does not divide {self.n}")
+            raise ZnecError(f"{modulus.n} does not divide {self.n}")
         return Curve(self.a % modulus.n, self.b % modulus.n, modulus)
 
     def component(self, p: int, e: int) -> "Curve":
         """The curve mod p^e, for a prime power p^e dividing N."""
         return self if self.n == p**e else self.reduced(Modulus.prime_power(p, e))
-
-    def reduce_point(self, point: "CurvePoint", target: "Curve") -> "CurvePoint":
-        x, y, z = point.xyz
-        m = target.n
-        return CurvePoint(target, (x % m, y % m, z % m))
 
     # --- the two addition laws -------------------------------------------
 
@@ -287,7 +270,7 @@ class Curve:
 
     def add(self, p1: "CurvePoint", p2: "CurvePoint") -> "CurvePoint":
         if p1.curve != self or p2.curve != self:
-            raise ValueError("points belong to a different curve")
+            raise ZnecError("points belong to a different curve")
         return CurvePoint._make(self, self.add_xyz(p1.xyz, p2.xyz))
 
     def neg(self, p: "CurvePoint") -> "CurvePoint":
@@ -381,17 +364,12 @@ class CurvePoint:
     def is_identity(self) -> bool:
         return self.xyz == (0, 1, 0)
 
-    def projective(self) -> ProjectivePoint:
-        return ProjectivePoint(self.curve.modulus, *self.xyz)
-
-    def coords(self) -> tuple[RingElement, RingElement, RingElement]:
-        m = self.curve.modulus
-        return tuple(m.element(c) for c in self.xyz)
-
     def reduced(self, target) -> "CurvePoint":
+        """Image on the curve mod M, for a Modulus M | N or a curve reducing from this one."""
         if isinstance(target, Modulus):
             target = self.curve.reduced(target)
-        return self.curve.reduce_point(self, target)
+        m = target.n
+        return CurvePoint(target, tuple(v % m for v in self.xyz))
 
     def __add__(self, other: "CurvePoint") -> "CurvePoint":
         return self.curve.add(self, other)
@@ -436,7 +414,7 @@ def point_order(p: CurvePoint, multiple: int) -> int:
     from .modring import factorize
 
     if p.curve.scalar_xyz(multiple, p.xyz) != (0, 1, 0):
-        raise ValueError(f"{multiple} is not a multiple of the order of {p}")
+        raise ZnecError(f"{multiple} is not a multiple of the order of {p}")
     order = multiple
     for q, e in factorize(multiple) if multiple > 1 else ():
         for _ in range(e):

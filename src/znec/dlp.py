@@ -20,16 +20,18 @@ from .errors import (
     NotAnomalous,
     NotCyclic,
     PointNotOnCurve,
+    SelfCheckFailed,
     ThetaZero,
+    ZnecError,
 )
-from .modring import Modulus, RingElement, vp_int
+from .modring import vp_int
 
 
 def _as_triple(c: Curve, point) -> tuple[int, int, int]:
     if isinstance(point, CurvePoint):
         xyz = point.xyz
     else:
-        xyz = point.triple() if hasattr(point, "triple") else tuple(int(v) % c.n for v in point)
+        xyz = tuple(int(v) % c.n for v in point)
     if not c.on_curve_triple(xyz):
         raise PointNotOnCurve(f"{xyz} does not satisfy {c!r}")
     return xyz
@@ -45,23 +47,23 @@ def lift_point(c: Curve, point, e: int, target: Curve | None = None) -> CurvePoi
     """
     p, k = c.modulus.as_prime_power()
     if k != 1:
-        raise ValueError(f"lift source must be mod a prime, got {c.n}")
+        raise ZnecError(f"lift source must be mod a prime, got {c.n}")
     if e < 1:
-        raise ValueError(f"target exponent must be >= 1, got {e}")
+        raise ZnecError(f"target exponent must be >= 1, got {e}")
     if target is None:
         target = new_curve(c.a, c.b, p**e, factorization=((p, e),)) if e > 1 else c
     else:
         tp, te = target.modulus.as_prime_power()
         if tp != p or te != e or (target.a - c.a) % p or (target.b - c.b) % p:
-            raise ValueError(f"{target!r} is not a mod {p}^{e} lift of {c!r}")
+            raise ZnecError(f"{target!r} is not a mod {p}^{e} lift of {c!r}")
     xyz = _as_triple(c, point)
     if xyz == (0, 1, 0):
         return target.identity()
     return target.point(*_hensel_lift(target.a, target.b, xyz[0], xyz[1], p, e))
 
 
-def theta(c: Curve, point) -> RingElement:
-    """Theta(P) = X / p^(e-1) mod p, where p^(e-1) P = (X : 1 : f(X)).
+def theta(c: Curve, point) -> int:
+    """Theta(P) = X / p^(e-1) mod p, where p^(e-1) P = (X : 1 : f(X)), in [0, p).
 
     Defined on curves mod p^e (e >= 2) whose group is cyclic of order
     p^e; there it is a surjective homomorphism onto F_p with kernel
@@ -71,7 +73,7 @@ def theta(c: Curve, point) -> RingElement:
     """
     p, e = c.modulus.as_prime_power()
     if e < 2:
-        raise ValueError(f"theta needs e >= 2, got modulus {c.n}")
+        raise ZnecError(f"theta needs e >= 2, got modulus {c.n}")
     xyz = _as_triple(c, point)
     mult = c.scalar_xyz(p ** (e - 1), xyz)
     if mult[1] != 1 or mult[0] % p or mult[2] % p:
@@ -80,7 +82,7 @@ def theta(c: Curve, point) -> RingElement:
     x = mult[0]
     if vp_int(x, p, e) < e - 1:
         raise NotCyclic(f"vp({x}) < {e - 1} in {p}^{e - 1} * {xyz} = {mult}")
-    return Modulus(p).element(x // p ** (e - 1))
+    return x // p ** (e - 1)
 
 
 @dataclass(frozen=True)
@@ -95,13 +97,13 @@ class DlpInstance:
         c = self.curve
         p, e = c.modulus.as_prime_power()
         if e != 1:
-            raise ValueError(f"instance curve must be mod a prime, got {c.n}")
+            raise ZnecError(f"instance curve must be mod a prime, got {c.n}")
         base = _as_triple(c, self.base)
         tgt = _as_triple(c, self.target)
         if base == (0, 1, 0):
             raise ThetaZero("base point is the identity; its log is undefined")
         if tgt == (0, 1, 0):
-            raise ValueError("target point is the identity")
+            raise ZnecError("target point is the identity")
         if not _certified_anomalous(c, base):
             raise NotAnomalous(f"{c!r} does not have exactly {p} points")
 
@@ -143,11 +145,11 @@ def solve_anomalous_dlp(instance: DlpInstance) -> int:
     for a2, b2 in ((a, b), (a, b + p), (a + p, b)):
         lifted = new_curve(a2, b2, p * p, factorization=((p, 2),))
         theta_p = theta(lifted, lift_point(c, base, 2, target=lifted))
-        if theta_p.value == 0:
+        if theta_p == 0:
             continue  # split lift: Theta vanishes identically
         theta_q = theta(lifted, lift_point(c, tgt, 2, target=lifted))
-        n = (theta_q / theta_p).value
+        n = theta_q * pow(theta_p, -1, p) % p
         if c.scalar_xyz(n, base) != tgt:
-            raise RuntimeError(f"verification failed: {n} * {base} != {tgt} on {c!r}")
+            raise SelfCheckFailed(f"verification failed: {n} * {base} != {tgt} on {c!r}")
         return n
     raise LiftRetryExhausted(f"all three lifts of {c!r} to mod {p}^2 were split")

@@ -3,22 +3,14 @@
 Every math precondition failure raises one of these rather than a bare
 ValueError, so callers (and the CLI) can tell a usage mistake from a
 genuine arithmetic obstruction and report the witness (a divisor of the
-modulus, a gcd, an offending prime) that triggered it.
+modulus, a gcd, an offending prime) that triggered it.  A failed
+internal self-check raises SelfCheckFailed, which the CLI reports with
+its own exit code.
 """
 
 
 class ZnecError(ValueError):
-    """Base class for all arithmetic precondition failures."""
-
-
-class NonInvertible(ZnecError):
-    """An element is not a unit; carries the witness gcd > 1."""
-
-    def __init__(self, value: int, modulus: int, gcd: int):
-        self.value = value
-        self.modulus = modulus
-        self.gcd = gcd
-        super().__init__(f"{value} is not invertible mod {modulus}: gcd = {gcd}")
+    """Base class for every error the package raises."""
 
 
 class NotPrimitive(ZnecError):
@@ -99,3 +91,7 @@ class NoCurveOfOrderP(ZnecError):
 
 class SearchBudgetExceeded(ZnecError):
     """A curve search ran past its configured budget."""
+
+
+class SelfCheckFailed(ZnecError):
+    """An internal consistency check failed: a bug, not a bad input."""

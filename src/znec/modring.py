@@ -3,9 +3,8 @@
 Everything downstream (projective canonical forms, the curve group law,
 the structure classifier) constantly switches between the ring Z/NZ and
 its prime-power components, so a modulus here is always the pair
-(N, factorization of N).  Elements are plain residues; the heavy loops
-elsewhere work on raw ints and only wrap results in RingElement at API
-boundaries.
+(N, factorization of N).  Elements are plain int residues throughout,
+at the API as well as in the loops.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from .errors import NonInvertible, NotPrimePower, ZnecError
+from .errors import NotPrimePower, ZnecError
 
 # Deterministic Miller-Rabin witnesses: this base set decides primality
 # correctly for every n < 3.317e24 (Sorenson-Webster).  Beyond that the
@@ -124,7 +123,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     ((7, 1), (11, 2), (13, 1), (17, 1))
     """
     if n < 2:
-        raise ValueError(f"nothing to factor: {n}")
+        raise ZnecError(f"nothing to factor: {n}")
     factors: dict[int, int] = {}
     for p in _small_primes():
         if p * p > n:
@@ -152,21 +151,20 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 
 class Modulus:
-    """A modulus N >= 1 together with its factorization.
+    """A modulus N >= 2 together with its factorization.
 
     The factorization may be supplied explicitly (mandatory in practice
     for N beyond trial-division scale, e.g. p^2 for a 160-bit p); it must
-    list distinct primes with exponents >= 1 and multiply to N.  N = 1 is allowed as the trivial ring so that
-    quantities living mod p^(e-1) stay well-typed at e = 1.
+    list distinct primes with exponents >= 1 and multiply to N.
     """
 
     __slots__ = ("n", "factorization", "_components")
 
     def __init__(self, n: int, factorization: tuple[tuple[int, int], ...] | None = None):
-        if n < 1:
-            raise ZnecError(f"modulus must be positive: {n}")
+        if n < 2:
+            raise ZnecError(f"modulus must be at least 2: {n}")
         if factorization is None:
-            factorization = factorize(n) if n > 1 else ()
+            factorization = factorize(n)
         else:
             factorization = tuple(sorted((int(p), int(e)) for p, e in factorization))
             for i, (p, e) in enumerate(factorization):
@@ -188,9 +186,6 @@ class Modulus:
     def prime_power(cls, p: int, e: int) -> "Modulus":
         return cls(p**e, ((p, e),))
 
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factorization)
-
     def components(self) -> tuple[tuple[int, int, int], ...]:
         """(p, e, p^e) for each prime-power component."""
         return self._components
@@ -203,12 +198,6 @@ class Modulus:
     def is_prime(self) -> bool:
         return len(self.factorization) == 1 and self.factorization[0][1] == 1
 
-    def is_unit(self, value: int) -> bool:
-        return math.gcd(value, self.n) == 1
-
-    def element(self, value: int) -> "RingElement":
-        return RingElement(self, value % self.n)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Modulus) and self.n == other.n
 
@@ -219,105 +208,12 @@ class Modulus:
         return f"Modulus({self.n})"
 
 
-class RingElement:
-    """A residue in Z/NZ.  Arithmetic between different moduli is a bug."""
-
-    __slots__ = ("modulus", "value")
-
-    def __init__(self, modulus: Modulus, value: int):
-        self.modulus = modulus
-        self.value = value % modulus.n
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, RingElement):
-            if other.modulus.n != self.modulus.n:
-                raise ValueError(
-                    f"mixed moduli: {self.modulus.n} vs {other.modulus.n}"
-                )
-            return other.value
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return RingElement(self.modulus, self.value + v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return RingElement(self.modulus, self.value - v)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return RingElement(self.modulus, v - self.value)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return RingElement(self.modulus, self.value * v)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return RingElement(self.modulus, -self.value)
-
-    def __pow__(self, k: int):
-        return RingElement(self.modulus, pow(self.value, k, self.modulus.n))
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self * inverse(RingElement(self.modulus, v))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return RingElement(self.modulus, v) * self.inverse()
-
-    def inverse(self) -> "RingElement":
-        return inverse(self)
-
-    def is_unit(self) -> bool:
-        return math.gcd(self.value, self.modulus.n) == 1
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RingElement):
-            return self.modulus.n == other.modulus.n and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.modulus.n
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.modulus.n, self.value))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.modulus.n})"
-
-
-def inverse(x: RingElement) -> RingElement:
-    """Multiplicative inverse; NonInvertible carries the witness gcd."""
-    g = math.gcd(x.value, x.modulus.n)
-    if g != 1:
-        raise NonInvertible(x.value, x.modulus.n, g)
-    return RingElement(x.modulus, pow(x.value, -1, x.modulus.n))
-
-
 def vp_int(value: int, p: int, e: int) -> int:
-    """p-adic valuation of a residue mod p^e, capped at e (the value of vp(0))."""
+    """p-adic valuation of a residue mod p^e, capped at e, the valuation given to 0.
+
+    >>> vp_int(75, 5, 3)
+    2
+    """
     value %= p**e
     if value == 0:
         return e
@@ -328,25 +224,13 @@ def vp_int(value: int, p: int, e: int) -> int:
     return t
 
 
-def vp(x: RingElement, p: int) -> int:
-    """Valuation of x in Z/p^eZ: the t with x in p^t R but not p^(t+1) R.
-
-    >>> vp(Modulus.prime_power(5, 3).element(75), 5)
-    2
-    """
-    fact = x.modulus.factorization
-    if len(fact) != 1 or fact[0][0] != p:
-        raise NotPrimePower(f"modulus {x.modulus.n} is not a power of {p}")
-    return vp_int(x.value, p, fact[0][1])
-
-
 def crt_ints(pairs: list[tuple[int, int]]) -> tuple[int, int]:
     """Combine (residue, modulus) pairs; returns (value, product modulus)."""
     value, modulus = 0, 1
     for r, m in pairs:
         g = math.gcd(modulus, m)
         if g != 1:
-            raise ValueError(f"moduli not pairwise coprime: share {g}")
+            raise ZnecError(f"moduli not pairwise coprime: share {g}")
         # x = value + modulus * t  with  x = r (mod m)
         t = (r - value) * pow(modulus, -1, m) % m
         value += modulus * t
@@ -357,6 +241,6 @@ def crt_ints(pairs: list[tuple[int, int]]) -> tuple[int, int]:
 def primitivity_gcd(values, modulus: Modulus) -> int:
     g = modulus.n
     for v in values:
-        g = math.gcd(g, int(v))
+        g = math.gcd(g, v)
     return g
 

@@ -19,8 +19,8 @@ from functools import lru_cache
 
 from . import budgets
 from .curve import Curve, CurvePoint, _fp_root, point_order
-from .errors import BudgetExceeded, NotAnomalous
-from .modring import Modulus, RingElement, factorize, is_prime, vp_int
+from .errors import BudgetExceeded, NotAnomalous, SelfCheckFailed, ZnecError
+from .modring import factorize, is_prime, vp_int
 
 NON_ANOMALOUS = "non-anomalous"
 CYCLIC = "cyclic"
@@ -144,7 +144,7 @@ def _count_fp(a: int, b: int, p: int) -> int:
 def _require_prime(c: Curve) -> int:
     p, e = c.modulus.as_prime_power()
     if e != 1:
-        raise ValueError(f"prime modulus required, got {p}^{e}")
+        raise ZnecError(f"prime modulus required, got {p}^{e}")
     return p
 
 
@@ -220,7 +220,7 @@ def group_structure_fp(c: Curve, budget: int | None = None) -> FieldCurveData:
     lam = _exponent_via_sampling(c, p, q)
     n2 = q // lam
     if lam * n2 != q or lam % n2 or (p - 1) % n2:
-        raise RuntimeError(f"order sampling failed to resolve the structure of {c!r}")
+        raise SelfCheckFailed(f"order sampling failed to resolve the structure of {c!r}")
     return FieldCurveData(p, q, t, (lam, n2))
 
 
@@ -285,10 +285,9 @@ def classify(c: Curve) -> GroupStructure:
     pool: list[int] = []
     for p, e, pe in c.modulus.components():
         comp = c.component(p, e)
-        fp = comp.component(p, 1)
-        q = count_points_fp(fp)
+        field = group_structure_fp(comp.component(p, 1))
+        q, shape = field.order, field.shape
         kernel_order = p ** (e - 1)
-        shape = group_structure_fp(fp).shape
         prime_to_p = tuple(d // p if d % p == 0 else d for d in shape)
         prime_to_p = tuple(d for d in prime_to_p if d > 1)
         if q % p == 0:
@@ -309,26 +308,26 @@ def classify(c: Curve) -> GroupStructure:
     return GroupStructure(c.n, invariant_factors(pool), tuple(locals_))
 
 
-def phi_map(c: Curve, point: CurvePoint) -> tuple[CurvePoint, RingElement]:
+def phi_map(c: Curve, point: CurvePoint) -> tuple[CurvePoint, int]:
     """The pair (reduction mod p, scaled X-coordinate of the q-multiple).
 
     Phi(P) = (pi(P), X/p mod p^(e-1)) where qP = (X : 1 : f(X)) and
-    q = |E(F_p)|.  A homomorphism for e <= 5 (the X-coordinate of points
-    over infinity is additive mod p^5), bijective exactly when p does
-    not divide q; q = p and the F_5 fringe case q = 10 both make the
-    second coordinate collapse on the cyclic p-part.
+    q = |E(F_p)|; the second coordinate is an int in [0, p^(e-1)).  A
+    homomorphism for e <= 5 (the X-coordinate of points over infinity is
+    additive mod p^5), bijective exactly when p does not divide q; q = p
+    and the F_5 fringe case q = 10 both make the second coordinate
+    collapse on the cyclic p-part.
     """
     p, e = c.modulus.as_prime_power()
     if e > 5:
-        raise ValueError(f"phi_map is only additive for e <= 5, got e = {e}")
+        raise ZnecError(f"phi_map is only additive for e <= 5, got e = {e}")
     fp = c.component(p, 1)
     q = count_points_fp(fp)
     mult = c.scalar_xyz(q, point.xyz)
     if mult[1] != 1 or mult[0] % p:
-        raise RuntimeError(f"{q} * {point!r} is not a point over infinity")
+        raise SelfCheckFailed(f"{q} * {point!r} is not a point over infinity")
     first = CurvePoint(fp, tuple(v % p for v in point.xyz))
-    second = Modulus(p ** (e - 1)).element(mult[0] // p)
-    return first, second
+    return first, mult[0] // p
 
 
 def _component_elementary_divisors(comp: Curve, triples: list[tuple[int, int, int]]) -> list[int]:

@@ -117,8 +117,8 @@ def test_criterion_04_attack_bit_exact():
     c = new_curve(A160, B160, P160, factorization=((P160, 1),))
     P, Q = c.point(1, PY160), c.point(3, QY160)
     lifted = new_curve(A160, B160, P160 * P160, factorization=((P160, 2),))
-    assert theta(lifted, lift_point(c, P, 2, target=lifted)).value == THETA_P160
-    assert theta(lifted, lift_point(c, Q, 2, target=lifted)).value == THETA_Q160
+    assert theta(lifted, lift_point(c, P, 2, target=lifted)) == THETA_P160
+    assert theta(lifted, lift_point(c, Q, 2, target=lifted)) == THETA_Q160
 
     ADDITIONS.reset()
     n = solve_anomalous_dlp(DlpInstance(c, P, Q))
@@ -236,10 +236,10 @@ def _check_maps_exhaustively(c, p, e, with_theta):
     for pt in points:
         first, second = phi_map(c, pt)
         pi[pt.xyz] = index[first.xyz]
-        phi2[pt.xyz] = second.value
+        phi2[pt.xyz] = second
         assert first.xyz == pt.reduced(base).xyz  # Phi_1 is the reduction
         if with_theta:
-            th[pt.xyz] = theta(c, pt).value
+            th[pt.xyz] = theta(c, pt)
 
     pe1 = p ** (e - 1)
     add = c.add_xyz

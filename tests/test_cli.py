@@ -140,6 +140,7 @@ def test_budget_env_respected(capsys, monkeypatch):
         (None, ["structure", "--a", "1", "--b", "1", "--n", "0"]),
         ("abc", ["structure", "--a", "7", "--b", "3", "--n", "169"]),
         ("0", ["structure", "--a", "7", "--b", "3", "--n", "169"]),
+        (None, ["dlp", "--p", "169", "--a", "7", "--b", "3", "--px", "0", "--py", "61", "--qx", "0", "--qy", "61"]),
     ],
 )
 def test_precondition_failures_exit_2(capsys, monkeypatch, budget, argv):
@@ -150,6 +151,15 @@ def test_precondition_failures_exit_2(capsys, monkeypatch, budget, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"znec {argv[0]}: ") and err.count("\n") == 1
+
+
+def test_failed_self_check_exits_3(capsys, monkeypatch):
+    from znec import dlp
+
+    monkeypatch.setattr(dlp, "theta", lambda curve, pt: 1)  # so the log reads 1, not 5
+    code, out, err = run(capsys, "dlp", "--p", "13", "--a", "1", "--b", "6", "--px", "2", "--py", "4", "--qx", "3", "--qy", "7")
+    assert (code, out) == (3, "")
+    assert err.startswith("znec dlp: self-check failed: ") and err.count("\n") == 1
 
 
 def test_entry_point_module():

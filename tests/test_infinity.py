@@ -115,7 +115,7 @@ def test_x_coordinate_nearly_additive(p, e):
         x3, val = infinity_sum_check(c, x1, x2)
         floor = min(e, 5 * min(vp_int(x1, p, e), vp_int(x2, p, e)))
         assert val >= floor
-        assert (x3.value - x1 - x2) % p**floor == 0
+        assert (x3 - x1 - x2) % p**floor == 0
 
 
 @pytest.mark.parametrize("p,e", [(5, 12), (7, 13)])

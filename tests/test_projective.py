@@ -5,7 +5,8 @@ import pytest
 
 from znec.errors import NotPrimitive
 from znec.modring import Modulus
-from znec.projective import ProjectivePoint, canonical_triple, make_point
+from znec.curve import new_curve
+from znec.projective import canonical_triple
 
 rng = random.Random(0x9E11)
 
@@ -17,12 +18,12 @@ def test_unit_scaling_gives_same_point(n):
         x, y, z = (rng.randrange(n) for _ in range(3))
         if math.gcd(math.gcd(x, y), math.gcd(z, n)) != 1:
             continue
-        pt = make_point(m, x, y, z)
+        pt = canonical_triple(x, y, z, m)
         u = rng.randrange(1, n)
         while math.gcd(u, n) != 1:
             u = rng.randrange(1, n)
-        assert pt == ProjectivePoint(m, u * x % n, u * y % n, u * z % n)
-        assert hash(pt) == hash(make_point(m, u * x, u * y, u * z))
+        assert pt == canonical_triple(u * x % n, u * y % n, u * z % n, m)
+        assert pt == canonical_triple(u * x, u * y, u * z, m)
 
 
 @pytest.mark.parametrize("n", [7, 121, 385])
@@ -42,23 +43,22 @@ def test_canonical_is_idempotent_and_orbit_constant(n):
 
 def test_affine_points_get_unit_z():
     m = Modulus(169)
-    pt = make_point(m, 26, 61, 3)  # z unit: scale it to 1
-    assert pt.triple()[2] == 1
-    assert pt.is_affine()
+    pt = canonical_triple(26, 61, 3, m)  # z unit: scale it to 1
+    assert pt[2] == 1
 
 
 def test_infinity_chart_scales_y():
     m = Modulus(169)
     # z and x both divisible by 13, y a unit: canonical form (X : 1 : Z)
-    pt = make_point(m, 13, 2, 0)
-    assert pt.triple()[1] == 1
-    assert not pt.is_affine()
-    assert pt.triple() == (13 * pow(2, -1, 169) % 169, 1, 0)
+    pt = canonical_triple(13, 2, 0, m)
+    assert pt[1] == 1
+    assert pt[2] != 1
+    assert pt == (13 * pow(2, -1, 169) % 169, 1, 0)
 
 
 def test_identity_canonical_form():
     for n in (5, 169, 35):
-        assert make_point(Modulus(n), 0, 3, 0).triple() == (0, 1, 0)
+        assert canonical_triple(0, 3, 0, Modulus(n)) == (0, 1, 0)
 
 
 def test_composite_canonical_is_crt_of_components():
@@ -76,16 +76,15 @@ def test_composite_canonical_is_crt_of_components():
 
 def test_imprimitive_triple_rejected():
     with pytest.raises(NotPrimitive):
-        make_point(Modulus(35), 5, 15, 0)
+        canonical_triple(5, 15, 0, Modulus(35))
     with pytest.raises(NotPrimitive):
         canonical_triple(0, 0, 0, Modulus(7))
 
 
 def test_reduced_projects_and_chains():
-    m = Modulus(175)  # 5^2 * 7
-    pt = make_point(m, 3, 12, 1)
+    pt = new_curve(2, 111, 175).point(3, 12)  # 175 = 5^2 * 7
     r5 = pt.reduced(Modulus.prime_power(5, 1))
-    assert r5.triple() == canonical_triple(3, 12, 1, Modulus(5))
+    assert r5.xyz == canonical_triple(3, 12, 1, Modulus(5))
     r25 = pt.reduced(Modulus.prime_power(5, 2))
     assert r25.reduced(Modulus(5)) == r5
     with pytest.raises(ValueError):
@@ -93,6 +92,6 @@ def test_reduced_projects_and_chains():
 
 
 def test_json_and_repr():
-    pt = make_point(Modulus(169), 0, 61, 1)
+    pt = new_curve(7, 3, 169).point(0, 61)
     assert pt.as_json() == ["0", "61", "1"]
     assert repr(pt) == "(0 : 61 : 1)"
