@@ -1,7 +1,8 @@
 """Work budgets for enumeration-flavoured operations.
 
-The env var ZNEC_BUDGET, when set to a positive integer, overrides every
-default below, so one knob scales the whole tool up or down.
+Each bounded search resolves its default below where it spends the work.
+ZNEC_BUDGET, when set to a positive integer, replaces each default with
+that value; it is the only way to set a budget.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Output is designed for scripting: deterministic ordering, big integers
 as decimal strings in JSON (nothing is ever truncated to 64 bits), and
 exit codes that separate usage errors (1) from mathematical
 precondition failures such as a singular curve or a non-anomalous dlp
-input (2) and from failed internal self-checks (3).  ZNEC_BUDGET scales
-the enumeration and counting budgets.
+input (2) and from failed internal self-checks (3).  ZNEC_BUDGET, when
+set, replaces every work budget (see znec.budgets).
 """
 
 from __future__ import annotations
@@ -120,7 +120,9 @@ def _cmd_verify(args) -> int:
     for label, ok, detail in verify_all():
         print(f"{'PASS' if ok else 'FAIL'}  {label}: {detail}")
         failures += not ok
-    return 0 if failures == 0 else 2
+    if failures:
+        raise SelfCheckFailed(f"{failures} bundled reference value(s) failed to re-derive")
+    return 0
 
 
 _COMMANDS = {

@@ -25,7 +25,7 @@ from .errors import (
     ZnecError,
 )
 # crt_ints is not called here; bench/tracer.py patches znec.curve.crt_ints by name
-from .modring import Modulus, crt_ints
+from .modring import Modulus, crt_ints, factorize
 from .projective import _canonical_prime_power, _crt_triple, canonical_triple
 
 
@@ -101,7 +101,7 @@ def _hensel_lift(a: int, b: int, x: int, y: int, p: int, e: int) -> tuple[int, i
 class Curve:
     """E_{A,B}(Z/NZ) together with the constants the group law reuses."""
 
-    __slots__ = ("modulus", "a", "b", "disc", "_b3", "_aa", "_t2k")
+    __slots__ = ("modulus", "a", "b", "_b3", "_aa", "_t2k")
 
     def __init__(self, a: int, b: int, modulus: Modulus):
         n = modulus.n
@@ -110,14 +110,12 @@ class Curve:
             raise BadCharacteristic(n, g6)
         a %= n
         b %= n
-        disc = -(4 * a * a * a + 27 * b * b) % n
-        g = math.gcd(disc, n)
+        g = math.gcd(4 * a * a * a + 27 * b * b, n)
         if g != 1:
             raise SingularCurve(n, g)
         self.modulus = modulus
         self.a = a
         self.b = b
-        self.disc = disc
         self._b3 = 3 * b % n
         self._aa = a * a % n
         self._t2k = (a * a * a + 9 * b * b) % n
@@ -317,14 +315,13 @@ class Curve:
             points.append((x % pe, 1, f.evaluate_int(x)))
         return points
 
-    def enumerate_points(self, budget: int | None = None) -> list["CurvePoint"]:
+    def enumerate_points(self) -> list["CurvePoint"]:
         """Every point of E(Z/NZ), canonical and sorted, CRT-glued from components.
 
         Raises BudgetExceeded before doing the work if the total count
-        would pass the (ZNEC_BUDGET-controllable) limit.
+        would pass the enumeration budget.
         """
-        if budget is None:
-            budget = budgets.resolve(budgets.ENUMERATE_POINTS)
+        budget = budgets.resolve(budgets.ENUMERATE_POINTS)
         components = self.modulus.components()
         comp_points = []
         total = 1
@@ -411,8 +408,6 @@ def new_curve(a: int, b: int, n: int, factorization=None) -> Curve:
 
 def point_order(p: CurvePoint, multiple: int) -> int:
     """Exact order of p given a known multiple of it (e.g. the group order)."""
-    from .modring import factorize
-
     if p.curve.scalar_xyz(multiple, p.xyz) != (0, 1, 0):
         raise ZnecError(f"{multiple} is not a multiple of the order of {p}")
     order = multiple

@@ -25,6 +25,7 @@ from .errors import (
     ZnecError,
 )
 from .modring import vp_int
+from .structure import count_points_fp
 
 
 def _as_triple(c: Curve, point) -> tuple[int, int, int]:
@@ -120,8 +121,6 @@ def _certified_anomalous(c: Curve, base_xyz: tuple[int, int, int]) -> bool:
     point satisfies pP = O.  At p = 5 the interval reaches 2p and the
     certificate is ambiguous (|E| = 10 has order-5 points), so count.
     """
-    from .structure import count_points_fp
-
     p = c.modulus.as_prime_power()[0]
     if p >= 7:
         return c.scalar_xyz(p, base_xyz) == (0, 1, 0)

@@ -20,8 +20,6 @@ from .errors import NotPrimePower, ZnecError
 # same test is probabilistic with error < 4^-12 per composite.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_MR_DETERMINISTIC_BOUND = 3317044064679887385961981
-
 
 @lru_cache(maxsize=1)
 def _small_primes() -> tuple[int, ...]:
@@ -194,9 +192,6 @@ class Modulus:
         if len(self.factorization) != 1:
             raise NotPrimePower(f"{self.n} is not a prime power")
         return self.factorization[0]
-
-    def is_prime(self) -> bool:
-        return len(self.factorization) == 1 and self.factorization[0][1] == 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Modulus) and self.n == other.n

@@ -78,12 +78,13 @@ def chi_candidates(p: int) -> tuple[int, ...]:
     return tuple(q for q in (p * p - p + 1, p * p + p + 1) if is_prime(q))
 
 
-def _curves_of_order(q: int, order: int, budget: int, search: str):
+def _curves_of_order(q: int, order: int, search: str):
     """Nonsingular (A, B) over F_q with exactly `order` points, in lexicographic order.
 
-    Each counted curve charges q against the budget; passing it raises
-    SearchBudgetExceeded, naming the search.
+    Each counted curve charges q against the curve-search budget; passing
+    it raises SearchBudgetExceeded, naming the search.
     """
+    budget = budgets.resolve(budgets.CURVE_SEARCH)
     spent = 0
     for a in range(q):
         for b in range(q):
@@ -96,7 +97,7 @@ def _curves_of_order(q: int, order: int, budget: int, search: str):
                 yield a, b
 
 
-def chi_p(p: int, budget: int | None = None) -> tuple[int, tuple[int, int, int] | None]:
+def chi_p(p: int) -> tuple[int, tuple[int, int, int] | None]:
     """(2, (q, A, B)) if some E_{A,B}(F_q) has group F_p + F_p, else (0, None).
 
     Only q = p^2 -+ p + 1 can carry full p-torsion of order p^2 (p | q - 1
@@ -108,16 +109,14 @@ def chi_p(p: int, budget: int | None = None) -> tuple[int, tuple[int, int, int] 
     """
     if p < 5 or not is_prime(p):
         raise ZnecError(f"p must be a prime >= 5, got {p}")
-    if budget is None:
-        budget = budgets.resolve(budgets.CURVE_SEARCH)
     for q in chi_candidates(p):
-        for a, b in _curves_of_order(q, p * p, budget, "chi search"):
+        for a, b in _curves_of_order(q, p * p, "chi search"):
             if group_structure_fp(new_curve(a, b, q)).shape == (p, p):
                 return 2, (q, a, b)
     return 0, None
 
 
-def rank_bound(p: int, budget: int | None = None) -> RankBoundReport:
+def rank_bound(p: int) -> RankBoundReport:
     """Assemble the report: rank of any p-group curve is <= H_p + chi_p + 1.
 
     When the chi witness search exceeds its budget the bound is still
@@ -125,7 +124,7 @@ def rank_bound(p: int, budget: int | None = None) -> RankBoundReport:
     """
     primes = hasse_primes(p)
     try:
-        chi, witness = chi_p(p, budget)
+        chi, witness = chi_p(p)
         status = CHI_WITNESSED if chi else CHI_ABSENT
     except SearchBudgetExceeded:
         chi, witness, status = 2, None, CHI_ASSUMED
@@ -140,17 +139,18 @@ def rank_bound(p: int, budget: int | None = None) -> RankBoundReport:
     )
 
 
-def _curve_of_order_p(q: int, p: int, budget: int) -> tuple[int, int]:
+def _curve_of_order_p(q: int, p: int) -> tuple[int, int]:
     """Lex-smallest (A, B) over F_q with exactly p points."""
     if (p - q - 1) ** 2 > 4 * q:
         raise NoCurveOfOrderP(q, p)
-    for a, b in _curves_of_order(q, p, budget, f"order-{p} search"):
+    for a, b in _curves_of_order(q, p, f"order-{p} search"):
         return a, b
     raise NoCurveOfOrderP(q, p)
 
 
-def _split_curve_mod_p2(p: int, budget: int) -> tuple[int, int]:
+def _split_curve_mod_p2(p: int) -> tuple[int, int]:
     """Lex-smallest (A, B) mod p^2 that is anomalous with split lift."""
+    budget = budgets.resolve(budgets.CURVE_SEARCH)
     spent = 0
     pp = p * p
     for a in range(pp):
@@ -201,7 +201,7 @@ class MaxRankCurve:
         }
 
 
-def construct_max_rank_curve(p: int, budget: int | None = None) -> MaxRankCurve:
+def construct_max_rank_curve(p: int) -> MaxRankCurve:
     """Glue local curves by CRT into one of maximal p-group rank.
 
     Per Hasse prime q != p the lex-smallest curve over F_q of order p
@@ -212,9 +212,7 @@ def construct_max_rank_curve(p: int, budget: int | None = None) -> MaxRankCurve:
     window the bound is not attainable here; the best found is returned
     and the gap is visible as rank < bound.
     """
-    if budget is None:
-        budget = budgets.resolve(budgets.CURVE_SEARCH)
-    report = rank_bound(p, budget)
+    report = rank_bound(p)
     pieces: list[tuple[int, int, int, str]] = []
     skipped: list[int] = []
     factorization: list[tuple[int, int]] = []
@@ -224,10 +222,10 @@ def construct_max_rank_curve(p: int, budget: int | None = None) -> MaxRankCurve:
         if q in (2, 3):
             skipped.append(q)
             continue
-        a_q, b_q = _curve_of_order_p(q, p, budget)
+        a_q, b_q = _curve_of_order_p(q, p)
         pieces.append((q, a_q, b_q, f"order-{p} curve over F_{q}"))
         factorization.append((q, 1))
-    a_p, b_p = _split_curve_mod_p2(p, budget)
+    a_p, b_p = _split_curve_mod_p2(p)
     pieces.append((p * p, a_p, b_p, f"anomalous split mod {p}^2"))
     factorization.append((p, 2))
     if report.chi_witness is not None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import budgets
-from .curve import Curve, CurvePoint, _fp_root, point_order
+from .curve import Curve, CurvePoint, _fp_root, _hensel_lift, point_order
 from .errors import BudgetExceeded, NotAnomalous, SelfCheckFailed, ZnecError
 from .modring import factorize, is_prime, vp_int
 
@@ -27,6 +27,7 @@ CYCLIC = "cyclic"
 SPLIT = "split"
 
 _rng = random.Random(0x5A_FE5EED)
+_SAMPLING_TRIALS = 40
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,6 @@ class FieldCurveData:
     order: int
     trace: int
     shape: tuple[int, int]  # (n1, n2) with n2 | n1, n1*n2 = order, n2 | p-1
-
-    @property
-    def is_anomalous(self) -> bool:
-        return self.order == self.p
 
 
 @dataclass(frozen=True)
@@ -148,15 +145,14 @@ def _require_prime(c: Curve) -> int:
     return p
 
 
-def count_points_fp(c: Curve, budget: int | None = None) -> int:
+def count_points_fp(c: Curve) -> int:
     """|E(F_p)| by the Legendre-symbol sum 1 + sum(1 + chi(x^3 + Ax + B)).
 
-    Naive and O(p) on purpose; refuses p beyond the (ZNEC_BUDGET-scalable)
-    bound instead of running forever.
+    Naive and O(p) on purpose; refuses p beyond the counting budget
+    instead of running forever.
     """
     p = _require_prime(c)
-    if budget is None:
-        budget = budgets.resolve(budgets.COUNT_FIELD_POINTS)
+    budget = budgets.resolve(budgets.COUNT_FIELD_POINTS)
     if p > budget:
         raise BudgetExceeded(f"p = {p} exceeds counting budget {budget}")
     return _count_fp(c.a, c.b, p)
@@ -172,9 +168,9 @@ def _random_point(c: Curve, p: int) -> tuple[int, int, int]:
             return (x, y, 1)
 
 
-def _exponent_via_sampling(c: Curve, p: int, q: int, trials: int = 40) -> int:
+def _exponent_via_sampling(c: Curve, p: int, q: int) -> int:
     lam = 1
-    for _ in range(trials):
+    for _ in range(_SAMPLING_TRIALS):
         pt = CurvePoint._make(c, _random_point(c, p))
         lam = math.lcm(lam, point_order(pt, q))
         if lam == q:
@@ -182,7 +178,7 @@ def _exponent_via_sampling(c: Curve, p: int, q: int, trials: int = 40) -> int:
     return lam
 
 
-def group_structure_fp(c: Curve, budget: int | None = None) -> FieldCurveData:
+def group_structure_fp(c: Curve) -> FieldCurveData:
     """Shape (n1, n2) of E(F_p) = Z/n1 + Z/n2 with n2 | n1 and n2 | p-1.
 
     The split part n2 is bounded by gcd conditions on the order, p-1 and
@@ -192,7 +188,7 @@ def group_structure_fp(c: Curve, budget: int | None = None) -> FieldCurveData:
     point orders (40 trials).
     """
     p = _require_prime(c)
-    q = count_points_fp(c, budget)
+    q = count_points_fp(c)
     t = p + 1 - q
     if q == 1 or is_prime(q):
         return FieldCurveData(p, q, t, (q, 1))
@@ -201,7 +197,7 @@ def group_structure_fp(c: Curve, budget: int | None = None) -> FieldCurveData:
     if all(k == 0 for k in kmax.values()):
         return FieldCurveData(p, q, t, (q, 1))
     if q <= 10_000:
-        pts = [pt.xyz for pt in c.enumerate_points(budget=max(q + 1, 10_001))]
+        pts = c._component_points(p, 1, q)
         n2 = 1
         for l, k_l in kmax.items():
             if k_l == 0:
@@ -224,10 +220,10 @@ def group_structure_fp(c: Curve, budget: int | None = None) -> FieldCurveData:
     return FieldCurveData(p, q, t, (lam, n2))
 
 
-def is_anomalous(c: Curve, budget: int | None = None) -> bool:
+def is_anomalous(c: Curve) -> bool:
     """True iff |E(F_p)| = p, i.e. the trace of Frobenius is 1."""
     p = _require_prime(c)
-    return count_points_fp(c, budget) == p
+    return count_points_fp(c) == p
 
 
 def anomalous_type(c: Curve) -> str:
@@ -241,11 +237,9 @@ def anomalous_type(c: Curve) -> str:
     has order p.  Decided at the given e rather than assumed stable
     across e.
     """
-    from .dlp import lift_point
-
     p, e = c.modulus.as_prime_power()
     fp = c.component(p, 1)
-    q = _count_fp(fp.a, fp.b, p)
+    q = count_points_fp(fp)
     if q % p:
         raise NotAnomalous(f"{fp!r} has {q} points, coprime to {p}")
     if e == 1:
@@ -259,7 +253,7 @@ def anomalous_type(c: Curve) -> str:
         source = cofactor * fp.point(x, y)
         if not source.is_identity():
             break
-    lifted = lift_point(fp, source, e, target=c)
+    lifted = c.point(*_hensel_lift(c.a, c.b, *source.xyz[:2], p, e))
     if c.scalar_xyz(p ** (e - 1), lifted.xyz) == (0, 1, 0):
         return SPLIT
     return CYCLIC
@@ -359,15 +353,14 @@ def _component_elementary_divisors(comp: Curve, triples: list[tuple[int, int, in
     return out
 
 
-def brute_force_structure(c: Curve, budget: int | None = None) -> GroupStructure:
+def brute_force_structure(c: Curve) -> GroupStructure:
     """Invariant factors recomputed from a full enumeration, no theory.
 
     Independent oracle for classify(): walks every point, counts
     l-torsion per component by repeated multiplication, and rebuilds the
     chain from the resulting elementary divisors.
     """
-    if budget is None:
-        budget = budgets.resolve(budgets.BRUTE_FORCE_POINTS)
+    budget = budgets.resolve(budgets.BRUTE_FORCE_POINTS)
     total = 1
     for p, e, _ in c.modulus.components():
         fp = c.component(p, 1)

@@ -120,6 +120,16 @@ def test_verify_paper_examples(capsys):
     assert all(line.startswith("PASS  ") for line in lines)
 
 
+def test_verify_failure_exits_3(capsys, monkeypatch):
+    from znec import reference
+
+    monkeypatch.setattr(reference, "verify_all", lambda: [("a", True, "got 1"), ("b", False, "got 2, want 3")])
+    code, out, err = run(capsys, "verify-paper-examples")
+    assert code == 3
+    assert out == "PASS  a: got 1\nFAIL  b: got 2, want 3\n"
+    assert err.startswith("znec verify-paper-examples: self-check failed: ") and err.count("\n") == 1
+
+
 def test_budget_env_respected(capsys, monkeypatch):
     monkeypatch.setenv("ZNEC_BUDGET", "10")
     code, out, err = run(capsys, "structure", "--a", "167707", "--b", "21664", "--n", "187187")

@@ -210,9 +210,10 @@ def test_on_curve_pairs_never_trip_both_laws():
                 c.add_xyz(P.xyz, Q.xyz)  # must not raise
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
+    monkeypatch.setenv("ZNEC_BUDGET", "10")
     with pytest.raises(BudgetExceeded):
-        new_curve(7, 3, 169).enumerate_points(budget=10)
+        new_curve(7, 3, 169).enumerate_points()
 
 
 def test_addition_counter():

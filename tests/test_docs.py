@@ -3,6 +3,7 @@
 import doctest
 import importlib
 import pkgutil
+from pathlib import Path
 
 import znec
 
@@ -17,3 +18,10 @@ def test_docstring_examples():
         failed += result.failed
     assert failed == 0
     assert attempted >= 7
+
+
+def test_readme_examples():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.failed == 0
+    assert result.attempted >= 8

@@ -90,8 +90,6 @@ def test_modulus_validation():
     with pytest.raises(ValueError):
         Modulus(0)
     assert Modulus.prime_power(7, 3).n == 343
-    assert Modulus(13).is_prime()
-    assert not Modulus(45).is_prime()
     assert Modulus(45).components() == ((3, 2, 9), (5, 1, 5))
     with pytest.raises(NotPrimePower):
         Modulus(45).as_prime_power()

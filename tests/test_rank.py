@@ -92,13 +92,14 @@ def test_chi_witness_is_lex_smallest_with_full_torsion(p):
             assert not earlier, (aa, bb)
 
 
-def test_chi_validation_and_budget():
+def test_chi_validation_and_budget(monkeypatch):
     with pytest.raises(ValueError):
         chi_p(3)
     with pytest.raises(ValueError):
         chi_p(9)
+    monkeypatch.setenv("ZNEC_BUDGET", "100")
     with pytest.raises(SearchBudgetExceeded):
-        chi_p(13, budget=100)
+        chi_p(13)
 
 
 @pytest.mark.parametrize("p", sorted(CHI))
@@ -113,8 +114,9 @@ def test_rank_bound_reports(p):
     assert report.chi_status == (CHI_WITNESSED if chi else CHI_ABSENT)
 
 
-def test_rank_bound_budget_fallback():
-    report = rank_bound(13, budget=10)
+def test_rank_bound_budget_fallback(monkeypatch):
+    monkeypatch.setenv("ZNEC_BUDGET", "10")
+    report = rank_bound(13)
     assert (report.chi_p, report.chi_witness, report.chi_status) == (2, None, CHI_ASSUMED)
     assert report.bound == 8  # still valid, just not witnessed
 
@@ -168,8 +170,8 @@ def test_construct_pieces_roles():
 def test_curve_of_order_p_outside_hasse():
     # 23 points over F_7 violates Hasse, and no search should start
     with pytest.raises(NoCurveOfOrderP):
-        _curve_of_order_p(7, 23, budget=10**9)
-    a, b = _curve_of_order_p(7, 5, budget=10**9)
+        _curve_of_order_p(7, 23)
+    a, b = _curve_of_order_p(7, 5)
     assert count_fp(a, b, 7) == 5
     for aa in range(a + 1):
         for bb in range(7 if aa < a else b):

@@ -181,9 +181,10 @@ def test_brute_force_matches_field_oracle():
             assert brute_force_structure(c).factors == field_group_invariants(c.a, c.b, p)
 
 
-def test_brute_force_budget():
+def test_brute_force_budget(monkeypatch):
+    monkeypatch.setenv("ZNEC_BUDGET", str(10**4))
     with pytest.raises(BudgetExceeded):
-        brute_force_structure(new_curve(1, 1, 5**9), budget=10**4)
+        brute_force_structure(new_curve(1, 1, 5**9))
 
 
 def test_phi_map_is_homomorphism_and_injective_when_q_not_p():
@@ -268,3 +269,12 @@ def test_anomalous_type_requires_p_dividing_field_order():
         anomalous_type(new_curve(1, 1, 25))  # 9 points over F_5
     assert anomalous_type(new_curve(3, 5, 25)) == CYCLIC
     assert anomalous_type(new_curve(3, 0, 25)) == SPLIT
+
+
+def test_anomalous_type_respects_counting_budget(monkeypatch):
+    monkeypatch.setenv("ZNEC_BUDGET", "100")
+    c = new_curve(1, 1, 101**2)
+    with pytest.raises(BudgetExceeded):
+        count_points_fp(c.component(101, 1))
+    with pytest.raises(BudgetExceeded):
+        anomalous_type(c)
