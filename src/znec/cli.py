@@ -4,8 +4,8 @@ Output is designed for scripting: deterministic ordering, big integers
 as decimal strings in JSON (nothing is ever truncated to 64 bits), and
 exit codes that separate usage errors (1) from mathematical
 precondition failures such as a singular curve or a non-anomalous dlp
-input (2) and from failed internal self-checks (3).  ZNEC_BUDGET, when
-set, replaces every work budget (see znec.budgets).
+input (2) and from failed internal self-checks (3).  ZNEC_BUDGET, checked
+first by every command, replaces every work budget (see znec.budgets).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 
+from . import budgets
 from .curve import new_curve
 from .dlp import DlpInstance, solve_anomalous_dlp
 from .errors import SelfCheckFailed, ZnecError
@@ -137,6 +138,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        budgets.resolve(0)  # reject a malformed ZNEC_BUDGET even where no budget is read
         return _COMMANDS[args.command](args)
     except SelfCheckFailed as exc:
         print(f"znec {args.command}: self-check failed: {exc}", file=sys.stderr)

@@ -5,7 +5,9 @@ P^2(Z/NZ), with gcd(6, N) = 1 and the discriminant -(4A^3 + 27B^2) a unit.
 Addition evaluates two bidegree-(2,2) polynomial triples S and T that
 together cover all input pairs.  Over each Z/p^eZ whichever output is
 primitive mod p represents the sum, so the sum is chosen prime by prime
-(S where it is primitive, else T), canonicalized, and glued with CRT.
+(S where it is primitive, else T), canonicalized, and glued with CRT
+idempotents.  Each law is evaluated only when needed: S vanishes on a
+doubling, and T is read only where S is imprimitive.
 There is no case split on the inputs, so points over infinity (Z not a
 unit) are handled by the same formulas as affine ones.
 """
@@ -170,30 +172,29 @@ class Curve:
 
     # --- the two addition laws -------------------------------------------
 
-    def _laws(self, p1: tuple[int, int, int], p2: tuple[int, int, int]):
-        """Evaluate the S and T triples for a pair of coordinate triples."""
+    def _law_products(self, p1: tuple[int, int, int], p2: tuple[int, int, int]):
+        """The pairwise coordinate products that both laws read."""
         n = self.n
-        a = self.a
-        b3 = self._b3
         x1, y1, z1 = p1
         x2, y2, z2 = p2
-
-        x1y2 = x1 * y2 % n
-        x2y1 = x2 * y1 % n
         x1z2 = x1 * z2 % n
         x2z1 = x2 * z1 % n
         y1z2 = y1 * z2 % n
         y2z1 = y2 * z1 % n
-        x1x2 = x1 * x2 % n
-        y1y2 = y1 * y2 % n
-        z1z2 = z1 * z2 % n
+        return (
+            x1 * x2 % n, y1 * y2 % n, z1 * z2 % n, x1 * y2 % n, x2 * y1 % n,
+            x1z2, x2z1, y1z2, y2z1, (x1z2 + x2z1) % n, (y1z2 + y2z1) % n,
+        )
 
+    def _law_s(self, products) -> tuple[int, int, int]:
+        """The S triple; it vanishes when both inputs are the same triple."""
+        x1x2, y1y2, z1z2, x1y2, x2y1, x1z2, x2z1, y1z2, y2z1, xz_p, yz_p = products
+        n = self.n
+        a = self.a
+        b3 = self._b3
         xy_m = (x1y2 - x2y1) % n
         xz_m = (x1z2 - x2z1) % n
         yz_m = (y1z2 - y2z1) % n
-        xz_p = (x1z2 + x2z1) % n
-        yz_p = (y1z2 + y2z1) % n
-
         s1 = (xy_m * yz_p + xz_m * y1y2 - a * xz_m % n * xz_p - b3 * xz_m % n * z1z2) % n
         s2 = (
             -3 * x1x2 * xy_m
@@ -203,9 +204,16 @@ class Curve:
             + b3 * yz_m % n * z1z2
         ) % n
         s3 = (3 * x1x2 * xz_m - yz_m * yz_p + a * xz_m % n * z1z2) % n
+        return s1, s2, s3
 
-        xy_p = (x1y2 + x2y1) % n
+    def _law_t(self, products) -> tuple[int, int, int]:
+        """The T triple; it represents the sum where S is imprimitive, doublings included."""
+        x1x2, y1y2, z1z2, x1y2, x2y1, x1z2, x2z1, _, _, xz_p, yz_p = products
+        n = self.n
+        a = self.a
+        b3 = self._b3
         aa = self._aa
+        xy_p = (x1y2 + x2y1) % n
         t1 = (
             y1y2 * xy_p
             - a * x1x2 % n * yz_p
@@ -230,37 +238,45 @@ class Curve:
             + a * xz_p % n * yz_p
             + b3 * yz_p % n * z1z2
         ) % n
-
-        return (s1, s2, s3), (t1, t2, t3)
+        return t1, t2, t3
 
     def add_xyz(self, p1: tuple[int, int, int], p2: tuple[int, int, int]) -> tuple[int, int, int]:
         """Canonical triple of p1 + p2.  Inputs must be on the curve.
 
         Prime by prime, the canonical form of the S output when it is
-        primitive mod p, else that of T, glued with CRT.
+        primitive mod p, else that of T, glued with the CRT idempotents.
+        Each law is evaluated only when needed: S is skipped on a doubling
+        (p1 == p2), where it vanishes, and T is evaluated only once S is
+        imprimitive mod some p.
         """
         ADDITIONS.value += 1
-        s, t = self._laws(p1, p2)
+        products = self._law_products(p1, p2)
+        s = None if p1 == p2 else self._law_s(products)
+        t = None
         parts = []
         for p, _, pe in self.modulus.components():
-            part = _canonical_prime_power(*s, p, pe) or _canonical_prime_power(*t, p, pe)
+            part = None if s is None else _canonical_prime_power(*s, p, pe)
             if part is None:
-                raise BothLawsVanish(p)
-            parts.append((part, pe))
-        return _crt_triple(parts)
+                if t is None:
+                    t = self._law_t(products)
+                part = _canonical_prime_power(*t, p, pe)
+                if part is None:
+                    raise BothLawsVanish(p)
+            parts.append(part)
+        return _crt_triple(parts, self.modulus)
 
     def neg_xyz(self, p: tuple[int, int, int]) -> tuple[int, int, int]:
         x, y, z = p
         return canonical_triple(x, (-y) % self.n, z, self.modulus)
 
     def scalar_xyz(self, k: int, p: tuple[int, int, int]) -> tuple[int, int, int]:
-        """Double-and-add; negative k multiplies -p."""
+        """Double-and-add from p past the leading bit; negative k multiplies -p."""
         if k < 0:
             k, p = -k, self.neg_xyz(p)
-        acc = (0, 1, 0)
         if k == 0:
-            return acc
-        for bit in bin(k)[2:]:
+            return (0, 1, 0)
+        acc = p if k > 1 else canonical_triple(*p, self.modulus)  # no addition canonicalizes for k = 1
+        for bit in bin(k)[3:]:
             acc = self.add_xyz(acc, acc)
             if bit == "1":
                 acc = self.add_xyz(acc, p)
@@ -322,18 +338,16 @@ class Curve:
         would pass the enumeration budget.
         """
         budget = budgets.resolve(budgets.ENUMERATE_POINTS)
-        components = self.modulus.components()
         comp_points = []
         total = 1
-        for p, e, _ in components:
+        for p, e, _ in self.modulus.components():
             pts = self._component_points(p, e, budget)
             total *= len(pts)
             if total > budget:
                 raise BudgetExceeded(f"{total}+ points exceeds budget {budget}")
             comp_points.append(pts)
-        moduli = [pe for _, _, pe in components]
         triples = sorted(
-            _crt_triple(list(zip(combo, moduli))) for combo in itertools.product(*comp_points)
+            _crt_triple(combo, self.modulus) for combo in itertools.product(*comp_points)
         )
         return [CurvePoint._make(self, t) for t in triples]
 

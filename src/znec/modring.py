@@ -153,10 +153,11 @@ class Modulus:
 
     The factorization may be supplied explicitly (mandatory in practice
     for N beyond trial-division scale, e.g. p^2 for a 160-bit p); it must
-    list distinct primes with exponents >= 1 and multiply to N.
+    list distinct primes with exponents >= 1 and multiply to N.  Each
+    component's CRT idempotent (1 mod its p^e, 0 mod the others) is precomputed.
     """
 
-    __slots__ = ("n", "factorization", "_components")
+    __slots__ = ("n", "factorization", "_components", "idempotents")
 
     def __init__(self, n: int, factorization: tuple[tuple[int, int], ...] | None = None):
         if n < 2:
@@ -179,6 +180,7 @@ class Modulus:
         self.n = n
         self.factorization = factorization
         self._components = tuple((p, e, p**e) for p, e in factorization)
+        self.idempotents = tuple(n // pe * pow(n // pe, -1, pe) % n for _, _, pe in self._components)
 
     @classmethod
     def prime_power(cls, p: int, e: int) -> "Modulus":

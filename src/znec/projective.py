@@ -5,12 +5,14 @@ Two triples name the same point exactly when their canonical forms are
 equal: over Z/p^eZ scale the last unit coordinate in the priority order
 Z, Y, X to 1 (so affine points become (X : Y : 1) and points over
 infinity become (X : 1 : Z) with p | X, p | Z); over composite N
-canonicalize each prime-power component and glue back with CRT.
+canonicalize each prime-power component and glue back with CRT, as a sum
+weighted by the idempotents Modulus precomputes (no gcd or inverse).
 """
 
 from __future__ import annotations
 
 from .errors import NotPrimitive
+# crt_ints is not called here; bench/tracer.py patches znec.projective.crt_ints by name
 from .modring import Modulus, crt_ints, primitivity_gcd
 
 
@@ -39,15 +41,15 @@ def canonical_triple(x: int, y: int, z: int, modulus: Modulus) -> tuple[int, int
         part = _canonical_prime_power(x, y, z, p, pe)
         if part is None:
             raise NotPrimitive(modulus.n, primitivity_gcd((x, y, z), modulus))
-        parts.append((part, pe))
-    return _crt_triple(parts)
+        parts.append(part)
+    return _crt_triple(parts, modulus)
 
 
-def _crt_triple(parts) -> tuple[int, int, int]:
-    """Glue (triple, p^e) components into one triple mod their product, coordinate-wise."""
-    if len(parts) == 1:
-        return parts[0][0]
-    x, _ = crt_ints([(t[0], pe) for t, pe in parts])
-    y, _ = crt_ints([(t[1], pe) for t, pe in parts])
-    z, _ = crt_ints([(t[2], pe) for t, pe in parts])
-    return x, y, z
+def _crt_triple(parts, modulus: Modulus) -> tuple[int, int, int]:
+    """Glue one triple per component, in components() order, into one triple mod N."""
+    x = y = z = 0
+    for (px, py, pz), eps in zip(parts, modulus.idempotents):
+        x += eps * px
+        y += eps * py
+        z += eps * pz
+    return x % modulus.n, y % modulus.n, z % modulus.n

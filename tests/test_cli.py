@@ -151,6 +151,9 @@ def test_budget_env_respected(capsys, monkeypatch):
         ("abc", ["structure", "--a", "7", "--b", "3", "--n", "169"]),
         ("0", ["structure", "--a", "7", "--b", "3", "--n", "169"]),
         (None, ["dlp", "--p", "169", "--a", "7", "--b", "3", "--px", "0", "--py", "61", "--qx", "0", "--qy", "61"]),
+        ("abc", ["f-poly", "--a", "1", "--b", "1", "--p", "5", "--e", "3"]),
+        ("abc", ["dlp", "--p", "13", "--a", "1", "--b", "6", "--px", "2", "--py", "4", "--qx", "3", "--qy", "7"]),
+        ("abc", ["rank-bound", "--p", "11"]),
     ],
 )
 def test_precondition_failures_exit_2(capsys, monkeypatch, budget, argv):

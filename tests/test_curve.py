@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -12,7 +13,8 @@ from znec.errors import (
     SingularCurve,
 )
 from znec.modring import Modulus
-from oracles import affine_add, affine_scalar, field_points, projective_points
+from znec.projective import canonical_triple
+from oracles import affine_add, affine_scalar, crt_pairs, field_points, projective_points
 
 rng = random.Random(0x5EED)
 
@@ -75,15 +77,24 @@ def test_group_axioms_on_samples(a, b, n):
     c = new_curve(a, b, n)
     pts = c.enumerate_points() if n <= 200 else None
 
+    components = c.modulus.components()
+    moduli = [pe for _, _, pe in components]
+
     def random_point():
         if pts is not None:
             return pts[rng.randrange(len(pts))]
+        # the first x drawn with a point above it, and the smallest y there:
+        # the CRT combinations of the roots mod each p^e are all the y mod n
         while True:
             x = rng.randrange(n)
-            # search a nearby point by scanning y on all components
-            for y in range(n):
-                if c.on_curve_triple((x, y, 1)):
-                    return CurvePoint(c, (x, y, 1))
+            rhs = x * x * x + a * x + b
+            roots = [[y for y in range(pe) if (y * y - rhs) % pe == 0] for pe in moduli]
+            if all(roots):
+                y = min(crt_pairs(list(zip(combo, moduli)))[0] for combo in itertools.product(*roots))
+                assert not any(c.on_curve_triple((x, smaller, 1)) for smaller in range(y))
+                return CurvePoint(c, (x, y, 1))
+            p, e, _ = components[roots.index([])]
+            assert not any(c.component(p, e).on_curve_triple((x, y, 1)) for y in range(p**e))
 
     sample = [random_point() for _ in range(8)]
     for P in sample:
@@ -124,7 +135,8 @@ def test_mixed_pairs_choose_the_law_per_prime():
     mixed, rest = [], []
     for P in pts:
         for Q in pts:
-            s, t = c._laws(P, Q)
+            products = c._law_products(P, Q)
+            s, t = c._law_s(products), c._law_t(products)
             neither = math.gcd(*s, n) > 1 and math.gcd(*t, n) > 1
             (mixed if neither else rest).append((P, Q))
     assert mixed
@@ -133,6 +145,70 @@ def test_mixed_pairs_choose_the_law_per_prime():
         for p in (13, 17):
             want = affine_add(a, b, p, _to_affine(tuple(v % p for v in P)), _to_affine(tuple(v % p for v in Q)))
             assert _to_affine(tuple(v % p for v in R)) == want, (P, Q)
+
+
+def test_laws_are_evaluated_only_when_needed(monkeypatch):
+    c = new_curve(1, 6, 221)
+    pts = [P.xyz for P in c.enumerate_points()]
+    pairs = random.Random(6).sample([(P, Q) for P in pts for Q in pts if P != Q], 3000)
+    s_primitive = {
+        pair: all(any(v % p for v in c._law_s(c._law_products(*pair))) for p in (13, 17))
+        for pair in pairs
+    }
+    assert not all(s_primitive.values())
+    calls = {"s": 0, "t": 0}
+
+    def counted(key, law):
+        def wrapper(self, products):
+            calls[key] += 1
+            return law(self, products)
+
+        return wrapper
+
+    monkeypatch.setattr(Curve, "_law_s", counted("s", Curve._law_s))
+    monkeypatch.setattr(Curve, "_law_t", counted("t", Curve._law_t))
+    for P in pts:
+        calls.update(s=0, t=0)
+        c.add_xyz(P, P)
+        assert calls == {"s": 0, "t": 1}, P
+    for pair, primitive in s_primitive.items():
+        calls.update(s=0, t=0)
+        c.add_xyz(*pair)
+        assert calls == {"s": 1, "t": 0 if primitive else 1}, pair
+
+
+def _repeated_addition(c, k, P):
+    step = P if k >= 0 else c.neg_xyz(P)
+    acc = (0, 1, 0)
+    for _ in range(abs(k)):
+        acc = c.add_xyz(acc, step)
+    return acc
+
+
+@pytest.mark.parametrize("a,b,n", [(1, 6, 221), (7, 3, 169)])
+def test_scalar_xyz_matches_repeated_addition(a, b, n):
+    c = new_curve(a, b, n)
+    pts = [P.xyz for P in c.enumerate_points()]
+    over_infinity = [P for P in pts if P[2] != 1]
+    affine = [P for P in pts if P[2] == 1]
+    local = random.Random(n)
+    sample = local.sample(over_infinity, 6) + local.sample(affine, 6)
+    x, y, z = sample[-1]
+    unit = 2  # gcd(2, n) = 1: a non-canonical triple of the same point
+    sample.append((unit * x, unit * y, unit * z))
+    assert sample[-1] != canonical_triple(*sample[-1], c.modulus)
+    for P in sample:
+        for k in range(-30, 31):
+            assert c.scalar_xyz(k, P) == _repeated_addition(c, k, P), (P, k)
+
+
+def test_scalar_xyz_addition_count():
+    c = new_curve(7, 3, 169)
+    P = (0, 61, 1)
+    for k in list(range(1, 70)) + [2**20, 2**20 - 1, 10**12 + 39]:
+        ADDITIONS.reset()
+        c.scalar_xyz(k, P)
+        assert ADDITIONS.value == k.bit_length() - 1 + bin(k).count("1") - 1, k
 
 
 @pytest.mark.parametrize("a,b,p", FIELD_CURVES)

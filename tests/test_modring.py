@@ -15,6 +15,7 @@ from znec.modring import (
     primitivity_gcd,
     vp_int,
 )
+from znec.projective import _crt_triple
 from oracles import crt_pairs
 
 rng = random.Random(0xC0FFEE)
@@ -133,6 +134,21 @@ def test_crt_matches_oracle():
         assert crt_ints(pairs) == crt_pairs(pairs)
     with pytest.raises(ValueError):
         crt_ints([(1, 6), (2, 15)])
+
+
+def test_crt_idempotents_glue_like_crt_ints():
+    local = random.Random(0x1DE)
+    primes = [5, 7, 11, 13, 17, 19, 23, 10007]
+    for _ in range(60):
+        factorization = tuple((q, local.randrange(1, 4)) for q in local.sample(primes, local.randrange(1, 5)))
+        m = Modulus(math.prod(q**e for q, e in factorization), factorization)
+        pes = [pe for _, _, pe in m.components()]
+        for eps, own in zip(m.idempotents, pes):
+            assert 0 <= eps < m.n
+            assert [eps % pe for pe in pes] == [int(pe == own) for pe in pes]
+        parts = [tuple(local.randrange(pe) for _ in range(3)) for pe in pes]
+        want = tuple(crt_ints([(t[i], pe) for t, pe in zip(parts, pes)])[0] for i in range(3))
+        assert _crt_triple(parts, m) == want
 
 
 def test_primitivity():
