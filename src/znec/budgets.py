@@ -15,6 +15,7 @@ ENUMERATE_POINTS = 1_000_000
 COUNT_FIELD_POINTS = 10_000_000
 BRUTE_FORCE_POINTS = 100_000
 CURVE_SEARCH = 5_000_000
+RHO_STEPS = 10_000_000
 
 
 def resolve(default: int) -> int:

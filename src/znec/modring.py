@@ -13,7 +13,8 @@ import itertools
 import math
 from functools import lru_cache
 
-from .errors import NotPrimePower, ZnecError
+from . import budgets
+from .errors import BudgetExceeded, NotPrimePower, ZnecError
 
 # Deterministic Miller-Rabin witnesses: this base set decides primality
 # correctly for every n < 3.317e24 (Sorenson-Webster).  Beyond that the
@@ -81,13 +82,18 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
 
 
 def _pollard_rho(n: int) -> int:
-    """Brent-cycle Pollard rho; returns a nontrivial factor of composite odd n."""
+    """Brent-cycle Pollard rho; a nontrivial factor of composite odd n within the rho budget."""
     if n % 2 == 0:
         return 2
+    budget = budgets.resolve(budgets.RHO_STEPS)
+    spent = 0
     for c in itertools.count(1):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
+            spent += 2 * r
+            if spent > budget:
+                raise BudgetExceeded(f"Pollard rho on {n} passed its budget of {budget} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -114,8 +120,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Factor n >= 2 into sorted (prime, exponent) pairs.
 
     Trial division by the sieve primes, then Miller-Rabin plus Pollard rho
-    on whatever is left.  Practical up to ~2^64 cofactors; larger moduli
-    should arrive with their factorization already known.
+    on whatever is left, within the rho budget.  Practical up to ~2^64
+    cofactors; larger moduli should arrive with their factorization known.
 
     >>> factorize(187187)
     ((7, 1), (11, 2), (13, 1), (17, 1))

@@ -154,6 +154,7 @@ def test_budget_env_respected(capsys, monkeypatch):
         ("abc", ["f-poly", "--a", "1", "--b", "1", "--p", "5", "--e", "3"]),
         ("abc", ["dlp", "--p", "13", "--a", "1", "--b", "6", "--px", "2", "--py", "4", "--qx", "3", "--qy", "7"]),
         ("abc", ["rank-bound", "--p", "11"]),
+        ("1000", ["structure", "--a", "1", "--b", "1", "--n", str((2**31 - 1) * (2**61 - 1))]),
     ],
 )
 def test_precondition_failures_exit_2(capsys, monkeypatch, budget, argv):

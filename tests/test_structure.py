@@ -2,14 +2,18 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from znec.curve import new_curve
+from znec import structure
+from znec.curve import ADDITIONS, new_curve
 from znec.errors import BudgetExceeded, NotAnomalous
-from znec.modring import factorize
+from znec.modring import factorize, is_prime
 from znec.structure import (
     CYCLIC,
     NON_ANOMALOUS,
     SPLIT,
+    _count_shanks_mestre,
+    _legendre_count,
     anomalous_type,
     brute_force_structure,
     classify,
@@ -54,6 +58,102 @@ def test_count_known_values():
 def test_count_budget():
     with pytest.raises(BudgetExceeded):
         count_points_fp(new_curve(1, 1, 2**89 - 1))
+
+
+def _in_hasse_interval(count, p):
+    return (p + 1 - count) ** 2 <= 4 * p
+
+
+def _seeded_points(a, b, p, k, seed):
+    """k points of y^2 = x^3 + ax + b over F_p for p = 3 mod 4, square roots by Euler."""
+    assert p % 4 == 3
+    r = random.Random(seed)
+    pts = []
+    while len(pts) < k:
+        x = r.randrange(p)
+        rhs = (x**3 + a * x + b) % p
+        y = pow(rhs, (p + 1) // 4, p)
+        if y * y % p == rhs:
+            pts.append((x, y, 1))
+    return pts
+
+
+def test_count_40_bit_primes_by_certificate(monkeypatch):
+    monkeypatch.delenv("ZNEC_BUDGET", raising=False)
+    p1, p2 = 2**40 - 213, 2**40 - 285  # the two largest primes below 2^40 that are 3 mod 4
+    counts = []
+    for p in (p1, p2):
+        curve = new_curve(2, 7, p)
+        count = count_points_fp(curve)
+        assert _in_hasse_interval(count, p)
+        d = next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) == p - 1)
+        twist = new_curve(2 * d * d, 7 * d**3, p)
+        for xyz in _seeded_points(curve.a, curve.b, p, 3, p):
+            assert curve.scalar_xyz(count, xyz) == (0, 1, 0)
+        for xyz in _seeded_points(twist.a, twist.b, p, 3, p):
+            assert twist.scalar_xyz(2 * p + 2 - count, xyz) == (0, 1, 0)
+        counts.append(count)
+    g = classify(new_curve(2, 7, p1 * p2, factorization=((p2, 1), (p1, 1))))
+    assert g.order == counts[0] * counts[1]
+
+
+def _shanks_mestre_agrees(a, b, p):
+    return _count_shanks_mestre(a, b, p) == _legendre_count(a, b, p)
+
+
+def test_shanks_mestre_matches_legendre_every_prime_to_2000():
+    r = random.Random(0x5EED)
+    for p in (q for q in range(231, 2000) if is_prime(q)):
+        for _ in range(3):
+            while True:
+                a, b = r.randrange(p), r.randrange(p)
+                if (4 * a**3 + 27 * b**2) % p:
+                    break
+            assert _shanks_mestre_agrees(a, b, p), (a, b, p)
+
+
+@pytest.mark.parametrize("p", [233, 239, 241])
+def test_shanks_mestre_matches_legendre_j0_and_small_b(p):
+    curves = {(0, b) for b in range(p)} | {(a, b) for a in range(p) for b in (0, 1, 2)}
+    for a, b in sorted(curves):
+        if (4 * a**3 + 27 * b**2) % p:
+            assert _shanks_mestre_agrees(a, b, p), (a, b, p)
+
+
+def test_shanks_mestre_twist_decides_full_torsion():
+    # E_{0,14}(F_307) is F_17 + F_17: four multiples of its exponent 17 lie
+    # in the Hasse interval, so the twist has to pick 289
+    p = 307
+    assert sum(1 for m in range(0, 2 * p + 3, 17) if _in_hasse_interval(m, p)) == 4
+    assert group_structure_fp(new_curve(0, 14, p)).shape == (17, 17)
+    assert _count_shanks_mestre(0, 14, p) == _legendre_count(0, 14, p) == 289
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.sampled_from([q for q in range(230, 20001) if is_prime(q)]), st.integers(0, 2**32), st.integers(0, 2**32))
+def test_shanks_mestre_property(p, a, b):
+    a, b = a % p, b % p
+    assume((4 * a**3 + 27 * b**2) % p)
+    count = _count_shanks_mestre(a, b, p)
+    assert count == _legendre_count(a, b, p)
+    assert _in_hasse_interval(count, p)
+
+
+def test_count_above_crossover_leaves_sampler_alone():
+    structure._count_fp.cache_clear()
+    before = structure._rng.getstate()
+    count_points_fp(new_curve(5, 8, 10007))
+    assert structure._rng.getstate() == before
+
+
+def test_count_above_crossover_repeats_its_additions():
+    spent = []
+    for _ in range(2):
+        structure._count_fp.cache_clear()
+        ADDITIONS.reset()
+        count_points_fp(new_curve(5, 8, 100003))
+        spent.append(ADDITIONS.reset())
+    assert spent[0] == spent[1] > 0
 
 
 def test_is_anomalous():
