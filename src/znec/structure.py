@@ -2,15 +2,16 @@
 
 |E(F_p)| is counted exactly, by a Legendre-symbol sum for small p and by
 Shanks-Mestre baby-step giant-step on E and its quadratic twist above a
-measured crossover.  The group splits over the prime-power components
-of N.  For a component p^e the fiber count gives |E(Z/p^eZ)| =
-p^(e-1) |E(F_p)|, and the structure is E(F_p) + Z/p^(e-1)Z except when
-|E(F_p)| = p (the anomalous case), where the component is either cyclic
-Z/p^eZ or F_p + Z/p^(e-1)Z; which of the two happens is decided by
-lifting one point and checking its order.  classify() assembles the
-local pieces into an invariant factor chain; brute_force_structure()
-recomputes the same chain from a full point enumeration and order
-counting, as an independent oracle.
+measured crossover, and its shape Z/n1 + Z/n2 is proved by a Weil
+pairing of points drawn from an RNG seeded by the curve.  The group
+splits over the prime-power components of N.  For a component p^e the
+fiber count gives |E(Z/p^eZ)| = p^(e-1) |E(F_p)|, and the structure is
+E(F_p) + Z/p^(e-1)Z except when |E(F_p)| = p (the anomalous case),
+where the component is either cyclic Z/p^eZ or F_p + Z/p^(e-1)Z; which
+of the two happens is decided by lifting one point and checking its
+order.  classify() assembles the local pieces into an invariant factor
+chain; brute_force_structure() recomputes the same chain from a full
+point enumeration and order counting, as an independent oracle.
 """
 
 from __future__ import annotations
@@ -29,12 +30,10 @@ NON_ANOMALOUS = "non-anomalous"
 CYCLIC = "cyclic"
 SPLIT = "split"
 
-_rng = random.Random(0x5A_FE5EED)
-_SAMPLING_TRIALS = 40
 # _count_fp sums Legendre symbols up to _CROSSOVER, where both methods take
-# about 0.6 ms a count, and draws at most _SM_DRAWS points above (p > 229)
+# about 0.6 ms a count; Shanks-Mestre (p > 229) and the shape certificate draw _DRAWS points at most
 _CROSSOVER = 2000
-_SM_DRAWS = 40
+_DRAWS = 40
 
 
 @dataclass(frozen=True)
@@ -187,11 +186,11 @@ def _count_shanks_mestre(a: int, b: int, p: int) -> int:
     d = next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) == p - 1)
     sides = [Curve(a * u * u, b * u * u * u, Modulus.prime_power(p, 1)) for u in (1, d)]
     lam = [1, 1]
-    for draw in range(_SM_DRAWS + 1):
+    for draw in range(_DRAWS + 1):
         cands = _candidates(p, *lam)
         if len(cands) == 1:
             return cands[0]
-        if not cands or draw == _SM_DRAWS:
+        if not cands or draw == _DRAWS:
             break
         side, c = draw % 2, sides[draw % 2]
         pt = _random_point(c, p, rng)
@@ -204,7 +203,7 @@ def _count_shanks_mestre(a: int, b: int, p: int) -> int:
     raise SelfCheckFailed(f"Shanks-Mestre could not pin |E_{{{a},{b}}}(F_{p})| (lcms {lam[0]}, {lam[1]})")
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=4096)
 def _count_fp(a: int, b: int, p: int) -> int:
     return _count_shanks_mestre(a, b, p) if p > _CROSSOVER else _legendre_count(a, b, p)
 
@@ -225,7 +224,7 @@ def count_points_fp(c: Curve) -> int:
     """
     p = _require_prime(c)
     budget = budgets.resolve(budgets.COUNT_FIELD_POINTS)
-    cost = p if p <= _CROSSOVER else _SM_DRAWS * 2 * (math.isqrt(2 * math.isqrt(4 * p)) + 1)
+    cost = p if p <= _CROSSOVER else _DRAWS * 2 * (math.isqrt(2 * math.isqrt(4 * p)) + 1)
     if cost > budget:
         raise BudgetExceeded(f"counting over F_{p} costs {cost}, over the counting budget {budget}")
     return _count_fp(c.a, c.b, p)
@@ -241,14 +240,25 @@ def _random_point(c: Curve, p: int, rng: random.Random) -> tuple[int, int, int]:
             return (x, y, 1)
 
 
-def _exponent_via_sampling(c: Curve, p: int, q: int) -> int:
-    lam = 1
-    for _ in range(_SAMPLING_TRIALS):
-        pt = CurvePoint._make(c, _random_point(c, p, _rng))
-        lam = math.lcm(lam, point_order(pt, q))
-        if lam == q:
-            break
-    return lam
+def _miller(a: int, p: int, lam: int, pt: tuple[int, int, int], n: int, at: tuple[int, int, int]) -> int:
+    """f(at), for the f normalized at O with divisor lam(pt) - lam(O); n | lam is the order of pt.
+
+    The lam/n-th power of Miller's affine loop for n(pt) - n(O); 0 when one of its lines meets at.
+    """
+    (x0, y0, _), (u, v, _) = pt, at
+    x, y, num, den = x0, y0, 1, 1
+    for op in "".join("d" + "a" * (bit == "1") for bit in bin(n)[3:]):
+        sx, sy = (x, y) if op == "d" else (x0, y0)
+        if op == "d":
+            num, den = num * num % p, den * den % p
+        if x == sx and (y + sy) % p == 0:  # T + S = O, only at the last step
+            num = num * (u - x) % p
+            continue
+        m = (3 * x * x + a) * pow(2 * y, -1, p) % p if op == "d" else (sy - y) * pow(sx - x, -1, p) % p
+        x3 = (m * m - x - sx) % p
+        num, den = num * (v - y - m * (u - x)) % p, den * (u - x3) % p
+        x, y = x3, (m * (x - x3) - y) % p
+    return pow(num * pow(den, -1, p), lam // n, p) if num and den else 0
 
 
 def group_structure_fp(c: Curve) -> FieldCurveData:
@@ -256,9 +266,11 @@ def group_structure_fp(c: Curve) -> FieldCurveData:
 
     The split part n2 is bounded by gcd conditions on the order, p-1 and
     the trace; when that bound is 1 the group is cyclic with no point
-    arithmetic at all.  Otherwise small groups are decided exactly by
-    counting l-torsion over the full enumeration, large ones by sampling
-    point orders (40 trials).
+    arithmetic at all.  Otherwise lam, the lcm of the orders of points
+    drawn from an RNG seeded by the curve, divides n1, and mu, the lcm of
+    the orders of the Weil pairings e_lam(Q, P) = (-1)^lam f_Q(P) / f_P(Q)
+    of successive draws (Miller, J. Cryptology 17, 2004), divides n2.  The
+    shape is proved once lam * mu = q; SelfCheckFailed after _DRAWS draws.
     """
     p = _require_prime(c)
     q = count_points_fp(c)
@@ -269,28 +281,26 @@ def group_structure_fp(c: Curve) -> FieldCurveData:
     kmax = {l: min(a // 2, vp_int(p - 1, l, a), vp_int(t - 2, l, a)) for l, a in factorize(q)}
     if all(k == 0 for k in kmax.values()):
         return FieldCurveData(p, q, t, (q, 1))
-    if q <= 10_000:
-        pts = c._component_points(p, 1, q)
-        n2 = 1
-        for l, k_l in kmax.items():
-            if k_l == 0:
-                continue
-            b = 0
-            level = pts
-            for k in range(1, k_l + 1):
-                level = [c.scalar_xyz(l, pt) for pt in level]
-                kills = sum(1 for pt in level if pt == (0, 1, 0))
-                if kills >= l ** (2 * k):
-                    b = k
-                else:
-                    break
-            n2 *= l**b
-        return FieldCurveData(p, q, t, (q // n2, n2))
-    lam = _exponent_via_sampling(c, p, q)
-    n2 = q // lam
-    if lam * n2 != q or lam % n2 or (p - 1) % n2:
-        raise SelfCheckFailed(f"order sampling failed to resolve the structure of {c!r}")
-    return FieldCurveData(p, q, t, (lam, n2))
+    rng = random.Random(f"{c.a} {c.b} {p}")
+    lam, mu, prev = 1, 1, None
+    for _ in range(_DRAWS):
+        pt = _random_point(c, p, rng)
+        order = point_order(CurvePoint._make(c, pt), q)
+        lam = math.lcm(lam, order)
+        if prev:
+            f_q, f_p = _miller(c.a, p, lam, *prev, pt), _miller(c.a, p, lam, pt, order, prev[0])
+            e = (-1) ** lam * f_q * pow(f_p, -1, p) % p if f_q and f_p else 1
+            k = q // lam  # n2 divides it, and the order of the pairing divides n2
+            if pow(e, k, p) != 1:
+                raise SelfCheckFailed(f"a Weil pairing on {c!r} does not die under {k}")
+            for l in kmax:
+                while k % l == 0 and pow(e, k // l, p) == 1:
+                    k //= l
+            mu = math.lcm(mu, k)
+        if lam * mu == q:
+            return FieldCurveData(p, q, t, (lam, mu))
+        prev = pt, order
+    raise SelfCheckFailed(f"no Weil pairing certified the shape of {c!r} in {_DRAWS} draws (lcms {lam}, {mu})")
 
 
 def is_anomalous(c: Curve) -> bool:

@@ -168,12 +168,16 @@ def test_precondition_failures_exit_2(capsys, monkeypatch, budget, argv):
 
 
 def test_failed_self_check_exits_3(capsys, monkeypatch):
-    from znec import dlp
+    from znec import dlp, structure
 
     monkeypatch.setattr(dlp, "theta", lambda curve, pt: 1)  # so the log reads 1, not 5
     code, out, err = run(capsys, "dlp", "--p", "13", "--a", "1", "--b", "6", "--px", "2", "--py", "4", "--qx", "3", "--qy", "7")
     assert (code, out) == (3, "")
     assert err.startswith("znec dlp: self-check failed: ") and err.count("\n") == 1
+    monkeypatch.setattr(structure, "_DRAWS", 1)  # too few draws to certify the shape (13, 13)
+    code, out, err = run(capsys, "structure", "--a", "0", "--b", "15", "--n", "157")
+    assert (code, out) == (3, "")
+    assert err.startswith("znec structure: self-check failed: ") and err.count("\n") == 1
 
 
 def test_entry_point_module():

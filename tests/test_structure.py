@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from znec import structure
 from znec.curve import ADDITIONS, new_curve
-from znec.errors import BudgetExceeded, NotAnomalous
+from znec.errors import BudgetExceeded, NotAnomalous, SelfCheckFailed
 from znec.modring import factorize, is_prime
 from znec.structure import (
     CYCLIC,
@@ -139,13 +139,6 @@ def test_shanks_mestre_property(p, a, b):
     assert _in_hasse_interval(count, p)
 
 
-def test_count_above_crossover_leaves_sampler_alone():
-    structure._count_fp.cache_clear()
-    before = structure._rng.getstate()
-    count_points_fp(new_curve(5, 8, 10007))
-    assert structure._rng.getstate() == before
-
-
 def test_count_above_crossover_repeats_its_additions():
     spent = []
     for _ in range(2):
@@ -182,8 +175,30 @@ def test_field_structure_full_torsion_witnesses():
     assert group_structure_fp(new_curve(0, 11, 31)).shape == (5, 5)
 
 
-def test_field_structure_sampling_path():
-    # above 10^4 points the classifier samples orders instead of enumerating
+def test_field_structure_matches_brute_force_where_gcd_bound_is_open():
+    # every curve over F_p, 5 <= p < 30, that needs points to decide n2:
+    # some l with l^2 | q and l | p - 1
+    curves = 0
+    for p in (5, 7, 11, 13, 17, 19, 23, 29):
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b**2) % p == 0:
+                    continue
+                c = new_curve(a, b, p)
+                q = count_points_fp(c)
+                if not any(q % (l * l) == 0 and (p - 1) % l == 0 for l in range(2, p)):
+                    continue
+                n1, n2 = group_structure_fp(c).shape
+                assert tuple(d for d in (n2, n1) if d > 1) == brute_force_structure(c).factors, (a, b, p)
+                curves += 1
+    assert curves == 940
+
+
+def test_field_structure_large_fields():
+    # full 101- and 102-torsion, which only the pairing can certify; on
+    # E_{0,2681} no single pairing of two successive draws has order 102
+    assert group_structure_fp(new_curve(0, 3, 10303)).shape == (101, 101)
+    assert group_structure_fp(new_curve(0, 2681, 10303)).shape == (102, 102)
     p = 10007
     for _ in range(3):
         c = _random_field_curve(p)
@@ -191,6 +206,27 @@ def test_field_structure_sampling_path():
         n1, n2 = fd.shape
         assert n1 * n2 == fd.order == p + 1 - fd.trace
         assert n1 % n2 == 0 and (n2 == 1 or (p - 1) % n2 == 0)
+
+
+def test_field_structure_ignores_call_history():
+    # the points drawn depend on the curve alone, so the work repeats exactly
+    c = new_curve(9120, 2181, 13627)
+    structure._count_fp.cache_clear()
+    count_points_fp(c)
+    ADDITIONS.reset()
+    assert group_structure_fp(c).shape == (6906, 2)
+    fresh = ADDITIONS.reset()
+    assert group_structure_fp(new_curve(1, 7, 13627)).shape == (6892, 2)
+    ADDITIONS.reset()
+    assert group_structure_fp(c).shape == (6906, 2)
+    assert ADDITIONS.reset() == fresh > 0
+
+
+def test_field_structure_without_certificate_fails(monkeypatch):
+    # the (13, 13) certificate pairs two draws, so one draw cannot prove it
+    monkeypatch.setattr(structure, "_DRAWS", 1)
+    with pytest.raises(SelfCheckFailed):
+        group_structure_fp(new_curve(0, 15, 157))
 
 
 def test_anomalous_type_fixtures():
