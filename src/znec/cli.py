@@ -40,19 +40,13 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     st = sub.add_parser("structure", help="group structure of E_{A,B}(Z/NZ)")
-    st.add_argument("--a", type=int, required=True)
-    st.add_argument("--b", type=int, required=True)
-    st.add_argument("--n", type=int, required=True)
+    for name in ("a", "b", "n"):
+        st.add_argument(f"--{name}", type=int, required=True)
     st.add_argument("--json", action="store_true")
 
     dl = sub.add_parser("dlp", help="discrete log on an anomalous curve mod p")
-    dl.add_argument("--p", type=int, required=True)
-    dl.add_argument("--a", type=int, required=True)
-    dl.add_argument("--b", type=int, required=True)
-    dl.add_argument("--px", type=int, required=True)
-    dl.add_argument("--py", type=int, required=True)
-    dl.add_argument("--qx", type=int, required=True)
-    dl.add_argument("--qy", type=int, required=True)
+    for name in ("p", "a", "b", "px", "py", "qx", "qy"):
+        dl.add_argument(f"--{name}", type=int, required=True)
     dl.add_argument("--json", action="store_true")
 
     rb = sub.add_parser("rank-bound", help="p-group rank bound H_p + chi_p + 1")
@@ -60,10 +54,8 @@ def _build_parser() -> _Parser:
     rb.add_argument("--construct", action="store_true")
 
     fp = sub.add_parser("f-poly", help="infinity polynomial of E_{A,B}(Z/p^eZ)")
-    fp.add_argument("--a", type=int, required=True)
-    fp.add_argument("--b", type=int, required=True)
-    fp.add_argument("--p", type=int, required=True)
-    fp.add_argument("--e", type=int, required=True)
+    for name in ("a", "b", "p", "e"):
+        fp.add_argument(f"--{name}", type=int, required=True)
     fp.add_argument("--json", action="store_true")
 
     sub.add_parser(

@@ -421,15 +421,21 @@ def new_curve(a: int, b: int, n: int, factorization=None) -> Curve:
 
 
 def point_order(p: CurvePoint, multiple: int) -> int:
-    """Exact order of p given a known multiple of it (e.g. the group order)."""
-    if p.curve.scalar_xyz(multiple, p.xyz) != (0, 1, 0):
-        raise ZnecError(f"{multiple} is not a multiple of the order of {p}")
-    order = multiple
-    for q, e in factorize(multiple) if multiple > 1 else ():
-        for _ in range(e):
-            candidate = order // q
-            if p.curve.scalar_xyz(candidate, p.xyz) == (0, 1, 0):
-                order = candidate
-            else:
-                break
+    """Exact order of p given a known multiple of it (e.g. the group order).
+
+    Per l^a exactly dividing the multiple, (multiple / l^a) p is multiplied
+    by l until it reaches O; the steps taken are the l-part of the order.
+    """
+    if multiple <= 1:
+        if p.curve.scalar_xyz(multiple, p.xyz) != (0, 1, 0):
+            raise ZnecError(f"{multiple} is not a multiple of the order of {p}")
+        return multiple
+    order = 1
+    for q, e in factorize(multiple):
+        t = p.curve.scalar_xyz(multiple // q**e, p.xyz)
+        while t != (0, 1, 0):
+            if order % q**e == 0:  # e steps by q did not reach O
+                raise ZnecError(f"{multiple} is not a multiple of the order of {p}")
+            t = p.curve.scalar_xyz(q, t)
+            order *= q
     return order

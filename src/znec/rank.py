@@ -6,18 +6,20 @@ interval around p, so the number of local building blocks is finite.
 Each Hasse prime q != p contributes one cyclic factor F_p, the prime p
 itself contributes two via an anomalous-split component mod p^2, and a
 prime q = p^2 -+ p + 1 (at most one of which can be prime) contributes
-two more when some E(F_q) has full p-torsion.  Gluing lex-smallest
-witnesses by CRT produces explicit curves of maximal rank.
+two more, since some sextic twist y^2 = x^3 + B over it has full
+p-torsion.  Gluing lex-smallest witnesses by CRT produces explicit
+curves of maximal rank.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from . import budgets
 from .curve import new_curve
-from .errors import NoCurveOfOrderP, SearchBudgetExceeded, ZnecError
+from .errors import NoCurveOfOrderP, SearchBudgetExceeded, SelfCheckFailed, ZnecError
 from .modring import crt_ints, is_prime
 from .structure import (
     SPLIT,
@@ -44,9 +46,8 @@ class RankBoundReport:
     chi_status: str  # witnessed | absent | assumed
 
     def as_json(self) -> dict:
-        witness = None
-        if self.chi_witness is not None:
-            witness = {"q": str(self.chi_witness[0]), "a": str(self.chi_witness[1]), "b": str(self.chi_witness[2])}
+        w = self.chi_witness
+        witness = None if w is None else {"q": str(w[0]), "a": str(w[1]), "b": str(w[2])}
         return {
             "p": str(self.p),
             "hasse_primes": [str(q) for q in self.hasse_primes],
@@ -78,49 +79,44 @@ def chi_candidates(p: int) -> tuple[int, ...]:
     return tuple(q for q in (p * p - p + 1, p * p + p + 1) if is_prime(q))
 
 
-def _curves_of_order(q: int, order: int, search: str):
-    """Nonsingular (A, B) over F_q with exactly `order` points, in lexicographic order.
-
-    Each counted curve charges q against the curve-search budget; passing
-    it raises SearchBudgetExceeded, naming the search.
-    """
-    budget = budgets.resolve(budgets.CURVE_SEARCH)
-    spent = 0
-    for a in range(q):
-        for b in range(q):
-            if (4 * a * a * a + 27 * b * b) % q == 0:
-                continue
-            spent += q
-            if spent > budget:
-                raise SearchBudgetExceeded(f"{search} over F_{q} passed {budget} operations")
-            if _count_fp(a, b, q) == order:
-                yield a, b
-
-
 def chi_p(p: int) -> tuple[int, tuple[int, int, int] | None]:
-    """(2, (q, A, B)) if some E_{A,B}(F_q) has group F_p + F_p, else (0, None).
+    """(2, (q, 0, B)) if a candidate q = p^2 -+ p + 1 is prime, else (0, None).
 
-    Only q = p^2 -+ p + 1 can carry full p-torsion of order p^2 (p | q - 1
-    and trace 2 mod p force q + 1 - t = p^2 with t^2 <= 4q), and 3 divides
-    one of the two, so at most one prime candidate exists.  The witness
-    search walks (A, B) in lexicographic order, counting points and then
-    checking the exponent; it charges q per counted curve against the
-    search budget and gives up with SearchBudgetExceeded beyond it.
+    Only those q admit E(F_q) = F_p + F_p (p | q - 1 and trace 2 mod p
+    force q + 1 - t = p^2), and 3 divides one of them.  Such a curve has
+    disc(pi) = -3p^2 and pi = 1 mod p Z[omega], so j = 0, and conversely
+    one sextic twist of y^2 = x^3 + B has that group (Waterhouse 1969,
+    Rueck 1987).  B and B' are twists when B^((q-1)/6) = B'^((q-1)/6), so
+    the lex-smallest witness costs at most six counts, each charging q
+    to the search budget; its shape (p, p) is certified, not assumed.
     """
     if p < 5 or not is_prime(p):
         raise ZnecError(f"p must be a prime >= 5, got {p}")
     for q in chi_candidates(p):
-        for a, b in _curves_of_order(q, p * p, "chi search"):
-            if group_structure_fp(new_curve(a, b, q)).shape == (p, p):
-                return 2, (q, a, b)
+        budget = budgets.resolve(budgets.CURVE_SEARCH)
+        twists: dict[int, int] = {}  # sextic class -> least B in it
+        b = 0
+        while len(twists) < 6:
+            b += 1
+            twists.setdefault(pow(b, (q - 1) // 6, q), b)
+        for spent, b in enumerate(twists.values(), 1):
+            if spent * q > budget:
+                raise SearchBudgetExceeded(f"chi search over F_{q} passed {budget} operations")
+            if _count_fp(0, b, q) == p * p:
+                shape = group_structure_fp(new_curve(0, b, q)).shape
+                if shape != (p, p):
+                    raise SelfCheckFailed(f"E_{{0,{b}}}(F_{q}) has {p * p} points but shape {shape}")
+                return 2, (q, 0, b)
+        raise SelfCheckFailed(f"no sextic twist of y^2 = x^3 + B over F_{q} has {p * p} points")
     return 0, None
 
 
 def rank_bound(p: int) -> RankBoundReport:
     """Assemble the report: rank of any p-group curve is <= H_p + chi_p + 1.
 
-    When the chi witness search exceeds its budget the bound is still
-    valid with chi assumed 2 (conservative), reported as such.
+    chi_p = 2 is decided by primality alone; when the witness search
+    exceeds its budget the bound still holds with chi_p = 2, and the
+    report says the witness is missing with status "assumed".
     """
     primes = hasse_primes(p)
     try:
@@ -143,8 +139,16 @@ def _curve_of_order_p(q: int, p: int) -> tuple[int, int]:
     """Lex-smallest (A, B) over F_q with exactly p points."""
     if (p - q - 1) ** 2 > 4 * q:
         raise NoCurveOfOrderP(q, p)
-    for a, b in _curves_of_order(q, p, f"order-{p} search"):
-        return a, b
+    budget = budgets.resolve(budgets.CURVE_SEARCH)
+    spent = 0
+    for a, b in itertools.product(range(q), repeat=2):
+        if (4 * a * a * a + 27 * b * b) % q == 0:
+            continue
+        spent += q
+        if spent > budget:
+            raise SearchBudgetExceeded(f"order-{p} search over F_{q} passed {budget} operations")
+        if _count_fp(a, b, q) == p:
+            return a, b
     raise NoCurveOfOrderP(q, p)
 
 
@@ -153,19 +157,18 @@ def _split_curve_mod_p2(p: int) -> tuple[int, int]:
     budget = budgets.resolve(budgets.CURVE_SEARCH)
     spent = 0
     pp = p * p
-    for a in range(pp):
-        for b in range(pp):
-            if (4 * a * a * a + 27 * b * b) % p == 0:
-                continue
-            if _count_fp(a % p, b % p, p) != p:
-                continue
-            spent += p
-            if spent > budget:
-                raise SearchBudgetExceeded(f"split search mod {p}^2 passed {budget} operations")
-            c = new_curve(a, b, pp, factorization=((p, 2),))
-            if anomalous_type(c) == SPLIT:
-                return a, b
-    raise NoCurveOfOrderP(p, p)  # unreachable: split lifts exist for every base
+    for a, b in itertools.product(range(pp), repeat=2):
+        if (4 * a * a * a + 27 * b * b) % p == 0:
+            continue
+        if _count_fp(a % p, b % p, p) != p:
+            continue
+        spent += p
+        if spent > budget:
+            raise SearchBudgetExceeded(f"split search mod {p}^2 passed {budget} operations")
+        c = new_curve(a, b, pp, factorization=((p, 2),))
+        if anomalous_type(c) == SPLIT:
+            return a, b
+    raise SelfCheckFailed(f"no anomalous curve mod {p}^2 has a split lift")  # split lifts exist for every base
 
 
 @dataclass(frozen=True)

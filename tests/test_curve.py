@@ -11,6 +11,7 @@ from znec.errors import (
     BudgetExceeded,
     PointNotOnCurve,
     SingularCurve,
+    ZnecError,
 )
 from znec.modring import Modulus
 from znec.projective import canonical_triple
@@ -309,3 +310,12 @@ def test_point_order_fixtures():
     c2 = new_curve(1, 6, 169)
     assert point_order(c2.point(2, 4), 169) == 13
     assert point_order(c.identity(), 169) == 1
+    assert point_order(c.identity(), 1) == 1
+    for wrong in (1, 13, 2 * 13 * 5):
+        with pytest.raises(ZnecError):
+            point_order(c.point(0, 61), wrong)
+    c3 = new_curve(2, 3, 97)  # 100 = 2^2 * 5^2 points
+    ADDITIONS.reset()
+    assert point_order(c3.point(0, 10), 100) == 50
+    # 25P (6) and one doubling to O, then 4P (2) and two steps by 5 (3 each)
+    assert ADDITIONS.value == 15

@@ -76,6 +76,29 @@ def test_factorize_random_roundtrip():
         assert list(fact) == sorted(fact)
 
 
+def test_is_prime_and_factorize_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    r = random.Random(0x5E1F)
+    primes31 = [sympy.nextprime(2**31 + r.randrange(2**24)) for _ in range(6)]
+    cases = [r.randrange(2, 2**48) for _ in range(300)]
+    # Carmichael numbers: small ones, and Chernick's (6k+1)(12k+1)(18k+1)
+    cases += [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185]
+    cases += [
+        (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+        for k in range(1, 400)
+        if all(sympy.isprime(m * k + 1) for m in (6, 12, 18))
+    ]
+    # strong pseudoprimes to many small bases, with and without all twelve
+    cases += [3215031751, 3825123056546413051, 318665857834031151167461]
+    # prime powers, and semiprimes with two 31-bit factors near 2^62
+    cases += [q**k for q in (3, 101, 65537, primes31[0]) for k in (2, 3, 5)]
+    cases += [primes31[i] * primes31[i + 1] for i in range(0, 6, 2)]
+    cases += [sympy.prevprime(2**62), sympy.nextprime(2**62), 2**61 - 1]
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n
+        assert factorize(n) == tuple(sorted(sympy.factorint(n).items())), n
+
+
 def test_factorize_big_prime_square_is_fast():
     # rho would never find this factor; the perfect-power path must
     p = 2**89 - 1

@@ -1,17 +1,21 @@
 import pytest
 
-from znec.errors import NoCurveOfOrderP, SearchBudgetExceeded
+from znec import rank
+from znec.curve import new_curve
+from znec.errors import NoCurveOfOrderP, SearchBudgetExceeded, SelfCheckFailed
 from znec.rank import (
     CHI_ABSENT,
     CHI_ASSUMED,
     CHI_WITNESSED,
     _curve_of_order_p,
+    _split_curve_mod_p2,
     chi_candidates,
     chi_p,
     construct_max_rank_curve,
     hasse_primes,
     rank_bound,
 )
+from znec.structure import CYCLIC, FieldCurveData, count_points_fp, group_structure_fp
 
 from oracles import count_fp, field_group_invariants
 
@@ -28,6 +32,7 @@ CHI = {
     7: (2, (43, 0, 3)),
     11: (0, None),
     13: (2, (157, 0, 15)),
+    17: (2, (307, 0, 14)),
 }
 
 CONSTRUCTIONS = {
@@ -79,7 +84,7 @@ def test_chi_fixtures(p):
     assert chi_p(p) == CHI[p]
 
 
-@pytest.mark.parametrize("p", [5, 7, 13])
+@pytest.mark.parametrize("p", [p for p in sorted(CHI) if CHI[p][0]])
 def test_chi_witness_is_lex_smallest_with_full_torsion(p):
     chi, (q, a, b) = CHI[p]
     assert count_fp(a, b, q) == p * p
@@ -102,14 +107,59 @@ def test_chi_validation_and_budget(monkeypatch):
         chi_p(13)
 
 
+def test_chi_counts_at_most_six_twists(monkeypatch):
+    calls, real = [], rank._count_fp
+    monkeypatch.setattr(rank, "_count_fp", lambda a, b, q: calls.append((a, b, q)) or real(a, b, q))
+    assert chi_p(379) == (2, (143263, 0, 39))
+    assert 1 <= len(calls) <= 6
+    assert all(a == 0 and q == 143263 for a, _, q in calls)
+    report = rank_bound(379)
+    assert (report.chi_status, report.chi_witness) == (CHI_WITNESSED, (143263, 0, 39))
+
+
+def test_chi_witness_sweep_below_1000():
+    swept = 0
+    for p in _sieve(1000):
+        if p < 5 or not chi_candidates(p):
+            continue
+        chi, (q, a, b) = chi_p(p)
+        c = new_curve(a, b, q)
+        assert (chi, q, a) == (2, chi_candidates(p)[0], 0)
+        assert count_points_fp(c) == p * p
+        assert group_structure_fp(c).shape == (p, p)
+        swept += 1
+    assert swept == 40
+
+
+def test_chi_breaks_with_theory_fail_the_self_check(monkeypatch):
+    # a j = 0 curve with p^2 points but the wrong shape
+    monkeypatch.setattr(rank, "group_structure_fp", lambda c: FieldCurveData(157, 169, -11, (169, 1)))
+    with pytest.raises(SelfCheckFailed, match="shape"):
+        chi_p(13)
+    monkeypatch.undo()
+    # no sextic twist with p^2 points: each of the six classes is counted once
+    counted = []
+    monkeypatch.setattr(rank, "_count_fp", lambda a, b, q: counted.append(b) or 0)
+    with pytest.raises(SelfCheckFailed, match="sextic"):
+        chi_p(13)
+    assert len({pow(b, 26, 157) for b in counted}) == len(counted) == 6
+
+
+def test_split_curve_search_exhausted_is_a_self_check(monkeypatch):
+    monkeypatch.setattr(rank, "anomalous_type", lambda c: CYCLIC)
+    with pytest.raises(SelfCheckFailed):
+        _split_curve_mod_p2(5)
+
+
 @pytest.mark.parametrize("p", sorted(CHI))
 def test_rank_bound_reports(p):
     report = rank_bound(p)
     chi, witness = CHI[p]
-    assert report.hasse_primes == HASSE[p]
-    assert report.h_p == len(HASSE[p])
+    window = HASSE.get(p) or tuple(q for q in _sieve(4 * p) if (q - p - 1) ** 2 <= 4 * p)
+    assert report.hasse_primes == window
+    assert report.h_p == len(window)
     assert report.chi_p == chi
-    assert report.bound == len(HASSE[p]) + chi + 1
+    assert report.bound == len(window) + chi + 1
     assert report.chi_witness == witness
     assert report.chi_status == (CHI_WITNESSED if chi else CHI_ABSENT)
 
