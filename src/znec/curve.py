@@ -47,6 +47,11 @@ class _AdditionCounter:
 ADDITIONS = _AdditionCounter()
 
 
+def _non_residue(p: int) -> int:
+    """The least quadratic non-residue mod an odd prime p."""
+    return next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+
+
 def _sqrt_mod_prime(a: int, p: int) -> int | None:
     """A square root of a mod p (Tonelli-Shanks), or None for non-residues."""
     a %= p
@@ -60,10 +65,7 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    m, c, t, r = s, pow(_non_residue(p), q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:
@@ -129,12 +131,7 @@ class Curve:
         return self.modulus.n
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Curve)
-            and self.n == other.n
-            and self.a == other.a
-            and self.b == other.b
-        )
+        return isinstance(other, Curve) and (self.n, self.a, self.b) == (other.n, other.a, other.b)
 
     def __hash__(self) -> int:
         return hash((self.n, self.a, self.b))

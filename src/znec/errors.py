@@ -61,7 +61,7 @@ class BothLawsVanish(ZnecError):
 
 
 class BudgetExceeded(ZnecError):
-    """An enumeration or count would exceed the configured point budget."""
+    """An enumeration, count or curve search would exceed its configured budget."""
 
 
 class NotCyclic(ZnecError):
@@ -87,10 +87,6 @@ class NoCurveOfOrderP(ZnecError):
         self.q = q
         self.p = p
         super().__init__(f"no curve over F_{q} has exactly {p} points")
-
-
-class SearchBudgetExceeded(ZnecError):
-    """A curve search ran past its configured budget."""
 
 
 class SelfCheckFailed(ZnecError):

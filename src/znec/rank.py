@@ -8,7 +8,9 @@ itself contributes two via an anomalous-split component mod p^2, and a
 prime q = p^2 -+ p + 1 (at most one of which can be prime) contributes
 two more, since some sextic twist y^2 = x^3 + B over it has full
 p-torsion.  Gluing lex-smallest witnesses by CRT produces explicit
-curves of maximal rank.
+curves of maximal rank.  chi_p is decided by primality, and its witness
+costs at most six point counts, each priced by the counting budget; only
+the two lexicographic construction walks spend the curve-search budget.
 """
 
 from __future__ import annotations
@@ -19,14 +21,16 @@ from dataclasses import dataclass
 
 from . import budgets
 from .curve import new_curve
-from .errors import NoCurveOfOrderP, SearchBudgetExceeded, SelfCheckFailed, ZnecError
+from .errors import BudgetExceeded, NoCurveOfOrderP, SelfCheckFailed, ZnecError
 from .modring import crt_ints, is_prime
 from .structure import (
     SPLIT,
     GroupStructure,
+    _count_cost,
     _count_fp,
     anomalous_type,
     classify,
+    count_points_fp,
     group_structure_fp,
 )
 
@@ -87,23 +91,22 @@ def chi_p(p: int) -> tuple[int, tuple[int, int, int] | None]:
     disc(pi) = -3p^2 and pi = 1 mod p Z[omega], so j = 0, and conversely
     one sextic twist of y^2 = x^3 + B has that group (Waterhouse 1969,
     Rueck 1987).  B and B' are twists when B^((q-1)/6) = B'^((q-1)/6), so
-    the lex-smallest witness costs at most six counts, each charging q
-    to the search budget; its shape (p, p) is certified, not assumed.
+    the lex-smallest witness costs at most six counts, each priced by the
+    counting budget (BudgetExceeded when one does not fit); its shape
+    (p, p) is certified, not assumed.
     """
     if p < 5 or not is_prime(p):
         raise ZnecError(f"p must be a prime >= 5, got {p}")
     for q in chi_candidates(p):
-        budget = budgets.resolve(budgets.CURVE_SEARCH)
         twists: dict[int, int] = {}  # sextic class -> least B in it
         b = 0
         while len(twists) < 6:
             b += 1
             twists.setdefault(pow(b, (q - 1) // 6, q), b)
-        for spent, b in enumerate(twists.values(), 1):
-            if spent * q > budget:
-                raise SearchBudgetExceeded(f"chi search over F_{q} passed {budget} operations")
-            if _count_fp(0, b, q) == p * p:
-                shape = group_structure_fp(new_curve(0, b, q)).shape
+        for b in twists.values():
+            c = new_curve(0, b, q, factorization=((q, 1),))
+            if count_points_fp(c) == p * p:
+                shape = group_structure_fp(c).shape
                 if shape != (p, p):
                     raise SelfCheckFailed(f"E_{{0,{b}}}(F_{q}) has {p * p} points but shape {shape}")
                 return 2, (q, 0, b)
@@ -114,15 +117,16 @@ def chi_p(p: int) -> tuple[int, tuple[int, int, int] | None]:
 def rank_bound(p: int) -> RankBoundReport:
     """Assemble the report: rank of any p-group curve is <= H_p + chi_p + 1.
 
-    chi_p = 2 is decided by primality alone; when the witness search
-    exceeds its budget the bound still holds with chi_p = 2, and the
-    report says the witness is missing with status "assumed".
+    chi_p = 2 is decided by primality alone.  When one of the witness's
+    at most six counts passes the counting budget (with the default, only
+    for p above about 3.9e9) the bound still holds with chi_p = 2, and
+    the report says the witness is missing with status "assumed".
     """
     primes = hasse_primes(p)
     try:
         chi, witness = chi_p(p)
         status = CHI_WITNESSED if chi else CHI_ABSENT
-    except SearchBudgetExceeded:
+    except BudgetExceeded:
         chi, witness, status = 2, None, CHI_ASSUMED
     return RankBoundReport(
         p=p,
@@ -140,13 +144,13 @@ def _curve_of_order_p(q: int, p: int) -> tuple[int, int]:
     if (p - q - 1) ** 2 > 4 * q:
         raise NoCurveOfOrderP(q, p)
     budget = budgets.resolve(budgets.CURVE_SEARCH)
-    spent = 0
+    cost, spent = _count_cost(q), 0
     for a, b in itertools.product(range(q), repeat=2):
         if (4 * a * a * a + 27 * b * b) % q == 0:
             continue
-        spent += q
+        spent += cost
         if spent > budget:
-            raise SearchBudgetExceeded(f"order-{p} search over F_{q} passed {budget} operations")
+            raise BudgetExceeded(f"order-{p} search over F_{q} passed {budget} operations")
         if _count_fp(a, b, q) == p:
             return a, b
     raise NoCurveOfOrderP(q, p)
@@ -164,7 +168,7 @@ def _split_curve_mod_p2(p: int) -> tuple[int, int]:
             continue
         spent += p
         if spent > budget:
-            raise SearchBudgetExceeded(f"split search mod {p}^2 passed {budget} operations")
+            raise BudgetExceeded(f"split search mod {p}^2 passed {budget} operations")
         c = new_curve(a, b, pp, factorization=((p, 2),))
         if anomalous_type(c) == SPLIT:
             return a, b

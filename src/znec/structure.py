@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import budgets
-from .curve import Curve, CurvePoint, _fp_root, _hensel_lift, point_order
+from .curve import Curve, CurvePoint, _fp_root, _hensel_lift, _non_residue, point_order
 from .errors import BudgetExceeded, NotAnomalous, SelfCheckFailed, ZnecError
 from .modring import Modulus, factorize, is_prime, vp_int
 
@@ -183,8 +183,7 @@ def _count_shanks_mestre(a: int, b: int, p: int) -> int:
     lam_T | |E'| = 2p + 2 - m (Mestre; Schoof 1995 for p > 229).
     """
     rng = random.Random(f"{a} {b} {p}")
-    d = next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) == p - 1)
-    sides = [Curve(a * u * u, b * u * u * u, Modulus.prime_power(p, 1)) for u in (1, d)]
+    sides = [Curve(a * u * u, b * u * u * u, Modulus.prime_power(p, 1)) for u in (1, _non_residue(p))]
     lam = [1, 1]
     for draw in range(_DRAWS + 1):
         cands = _candidates(p, *lam)
@@ -215,17 +214,20 @@ def _require_prime(c: Curve) -> int:
     return p
 
 
+def _count_cost(p: int) -> int:
+    """One count over F_p: p steps for the sum, the baby and giant steps of every draw above _CROSSOVER."""
+    return p if p <= _CROSSOVER else _DRAWS * 2 * (math.isqrt(2 * math.isqrt(4 * p)) + 1)
+
+
 def count_points_fp(c: Curve) -> int:
     """|E(F_p)|: the O(p) Legendre sum up to _CROSSOVER, O(p^(1/4)) Shanks-Mestre above.
 
-    Refuses, before any work, a count whose cost passes the counting
-    budget: p for the sum, the baby and giant steps of every draw for
-    Shanks-Mestre.
+    Refuses, before any work, a count whose _count_cost passes the
+    counting budget.
     """
     p = _require_prime(c)
     budget = budgets.resolve(budgets.COUNT_FIELD_POINTS)
-    cost = p if p <= _CROSSOVER else _DRAWS * 2 * (math.isqrt(2 * math.isqrt(4 * p)) + 1)
-    if cost > budget:
+    if (cost := _count_cost(p)) > budget:
         raise BudgetExceeded(f"counting over F_{p} costs {cost}, over the counting budget {budget}")
     return _count_fp(c.a, c.b, p)
 
@@ -314,7 +316,8 @@ def is_anomalous(c: Curve) -> bool:
 def anomalous_type(c: Curve) -> str:
     """CYCLIC or SPLIT: the class of the p-Sylow extension when p | |E(F_p)|.
 
-    Lift a point of exact order p from E(F_p); in the split case the
+    Lift a point of exact order p from E(F_p), the cofactor multiple of a
+    point drawn from an RNG seeded by the curve; in the split case the
     p-part of the group has exponent p^(e-1), so the lift dies under
     p^(e-1), while in the cyclic case it survives.  Trace 1 mod p means
     |E(F_p)| = p (anomalous) except over F_5, where |E(F_5)| = 10 also
@@ -329,16 +332,14 @@ def anomalous_type(c: Curve) -> str:
         raise NotAnomalous(f"{fp!r} has {q} points, coprime to {p}")
     if e == 1:
         return CYCLIC
-    cofactor = q // p
-    for x in range(p):
-        y = _fp_root(fp.a, fp.b, x, p)
-        if y is None:
-            continue
-        # (x, y) and (x, -y) die together under the cofactor: one root per x will do
-        source = cofactor * fp.point(x, y)
-        if not source.is_identity():
+    rng = random.Random(f"{fp.a} {fp.b} {p}")
+    for _ in range(_DRAWS):
+        source = fp.scalar_xyz(q // p, _random_point(fp, p, rng))
+        if source != (0, 1, 0):
             break
-    lifted = c.point(*_hensel_lift(c.a, c.b, *source.xyz[:2], p, e))
+    else:
+        raise SelfCheckFailed(f"{_DRAWS} points of {fp!r} all die under the cofactor {q // p}")
+    lifted = c.point(*_hensel_lift(c.a, c.b, *source[:2], p, e))
     if c.scalar_xyz(p ** (e - 1), lifted.xyz) == (0, 1, 0):
         return SPLIT
     return CYCLIC

@@ -2,7 +2,7 @@ import pytest
 
 from znec import rank
 from znec.curve import new_curve
-from znec.errors import NoCurveOfOrderP, SearchBudgetExceeded, SelfCheckFailed
+from znec.errors import BudgetExceeded, NoCurveOfOrderP, SelfCheckFailed
 from znec.rank import (
     CHI_ABSENT,
     CHI_ASSUMED,
@@ -103,13 +103,13 @@ def test_chi_validation_and_budget(monkeypatch):
     with pytest.raises(ValueError):
         chi_p(9)
     monkeypatch.setenv("ZNEC_BUDGET", "100")
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(BudgetExceeded):
         chi_p(13)
 
 
 def test_chi_counts_at_most_six_twists(monkeypatch):
-    calls, real = [], rank._count_fp
-    monkeypatch.setattr(rank, "_count_fp", lambda a, b, q: calls.append((a, b, q)) or real(a, b, q))
+    calls, real = [], rank.count_points_fp
+    monkeypatch.setattr(rank, "count_points_fp", lambda c: calls.append((c.a, c.b, c.n)) or real(c))
     assert chi_p(379) == (2, (143263, 0, 39))
     assert 1 <= len(calls) <= 6
     assert all(a == 0 and q == 143263 for a, _, q in calls)
@@ -131,6 +131,27 @@ def test_chi_witness_sweep_below_1000():
     assert swept == 40
 
 
+def test_chi_witnessed_for_every_candidate_below_3000():
+    # a count above the crossover costs O(q^(1/4)), so no witness here is out of budget
+    swept = 0
+    for p in _sieve(3000):
+        if p < 5 or not chi_candidates(p):
+            continue
+        report = rank_bound(p)
+        q, a, b = report.chi_witness
+        assert (report.chi_status, q, a) == (CHI_WITNESSED, chi_candidates(p)[0], 0)
+        assert group_structure_fp(new_curve(a, b, q)).shape == (p, p)
+        swept += 1
+    assert swept == 96
+
+
+def test_chi_witness_near_1e5():
+    assert chi_p(100049) == (2, (10009902451, 0, 18))
+    c = new_curve(0, 18, 10009902451, factorization=((10009902451, 1),))
+    assert group_structure_fp(c).shape == (100049, 100049)
+    assert rank_bound(100049).chi_status == CHI_WITNESSED
+
+
 def test_chi_breaks_with_theory_fail_the_self_check(monkeypatch):
     # a j = 0 curve with p^2 points but the wrong shape
     monkeypatch.setattr(rank, "group_structure_fp", lambda c: FieldCurveData(157, 169, -11, (169, 1)))
@@ -139,7 +160,7 @@ def test_chi_breaks_with_theory_fail_the_self_check(monkeypatch):
     monkeypatch.undo()
     # no sextic twist with p^2 points: each of the six classes is counted once
     counted = []
-    monkeypatch.setattr(rank, "_count_fp", lambda a, b, q: counted.append(b) or 0)
+    monkeypatch.setattr(rank, "count_points_fp", lambda c: counted.append(c.b) or 0)
     with pytest.raises(SelfCheckFailed, match="sextic"):
         chi_p(13)
     assert len({pow(b, 26, 157) for b in counted}) == len(counted) == 6
