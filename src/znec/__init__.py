@@ -17,7 +17,6 @@ from .modring import Modulus, crt_ints, factorize, is_prime
 from .rank import construct_max_rank_curve, hasse_primes, rank_bound
 from .structure import (
     GroupStructure,
-    brute_force_structure,
     classify,
     count_points_fp,
     group_structure_fp,
@@ -35,7 +34,6 @@ __all__ = [
     "GroupStructure",
     "Modulus",
     "ZnecError",
-    "brute_force_structure",
     "classify",
     "compute_f",
     "construct_max_rank_curve",

@@ -1,5 +1,7 @@
-"""Work budgets for enumeration-flavoured operations.
+"""Work budgets for the searches that can run long.
 
+There are three: counting points over F_p, the two construction walks of
+rank.construct_max_rank_curve, and Pollard rho in modring.factorize.
 Each bounded search resolves its default below where it spends the work.
 ZNEC_BUDGET, when set to a positive integer, replaces each default with
 that value; it is the only way to set a budget.
@@ -11,9 +13,7 @@ import os
 
 from .errors import ZnecError
 
-ENUMERATE_POINTS = 1_000_000
 COUNT_FIELD_POINTS = 10_000_000
-BRUTE_FORCE_POINTS = 100_000
 CURVE_SEARCH = 5_000_000
 RHO_STEPS = 10_000_000
 

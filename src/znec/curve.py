@@ -14,18 +14,9 @@ unit) are handled by the same formulas as affine ones.
 
 from __future__ import annotations
 
-import itertools
 import math
 
-from . import budgets
-from .errors import (
-    BadCharacteristic,
-    BothLawsVanish,
-    BudgetExceeded,
-    PointNotOnCurve,
-    SingularCurve,
-    ZnecError,
-)
+from .errors import BadCharacteristic, BothLawsVanish, PointNotOnCurve, SingularCurve, ZnecError
 # crt_ints is not called here; bench/tracer.py patches znec.curve.crt_ints by name
 from .modring import Modulus, crt_ints, factorize
 from .projective import _canonical_prime_power, _crt_triple, canonical_triple
@@ -279,74 +270,20 @@ class Curve:
                 acc = self.add_xyz(acc, p)
         return acc
 
+    def _xyz(self, p: "CurvePoint") -> tuple[int, int, int]:
+        """The triple of a point on this curve; a point of another curve is an error."""
+        if p.curve != self:
+            raise ZnecError(f"{p!r} belongs to {p.curve!r}, not to {self!r}")
+        return p.xyz
+
     def add(self, p1: "CurvePoint", p2: "CurvePoint") -> "CurvePoint":
-        if p1.curve != self or p2.curve != self:
-            raise ZnecError("points belong to a different curve")
-        return CurvePoint._make(self, self.add_xyz(p1.xyz, p2.xyz))
+        return CurvePoint._make(self, self.add_xyz(self._xyz(p1), self._xyz(p2)))
 
     def neg(self, p: "CurvePoint") -> "CurvePoint":
-        return CurvePoint._make(self, self.neg_xyz(p.xyz))
+        return CurvePoint._make(self, self.neg_xyz(self._xyz(p)))
 
     def scalar_mul(self, k: int, p: "CurvePoint") -> "CurvePoint":
-        return CurvePoint._make(self, self.scalar_xyz(k, p.xyz))
-
-    # --- enumeration -------------------------------------------------------
-
-    def _component_points(self, p: int, e: int, budget: int) -> list[tuple[int, int, int]]:
-        """All points of the curve mod p^e, as canonical triples.
-
-        Every point sits over an F_p point: affine fibers are walked by
-        fixing one coordinate per residue class and Hensel-lifting the
-        other (the curve is nonsingular, so one partial derivative is a
-        unit), and the fiber over (0 : 1 : 0) is X -> (X : 1 : f(X)).
-        """
-        pe = p**e
-        cp = self.component(p, e)
-        base_affine = []
-        for x0 in range(p):
-            y0 = _fp_root(cp.a, cp.b, x0, p)
-            if y0 is None:
-                continue
-            base_affine.append((x0, y0))
-            if y0 != 0:
-                base_affine.append((x0, p - y0))
-        total = (len(base_affine) + 1) * p ** (e - 1)
-        if total > budget:
-            raise BudgetExceeded(f"{total} points exceeds budget {budget}")
-        points = []
-        for x0, y0 in base_affine:
-            for t in range(p ** (e - 1)):
-                # walk the fiber along the coordinate the lift keeps fixed
-                x, y = (x0 + t * p, y0) if y0 else (x0, t * p)
-                x, y = _hensel_lift(cp.a, cp.b, x, y, p, e)
-                points.append((x, y, 1))
-        from .infinity import compute_f  # local import: infinity builds on curve
-
-        f = compute_f(cp)
-        for t in range(p ** (e - 1)):
-            x = t * p
-            points.append((x % pe, 1, f.evaluate_int(x)))
-        return points
-
-    def enumerate_points(self) -> list["CurvePoint"]:
-        """Every point of E(Z/NZ), canonical and sorted, CRT-glued from components.
-
-        Raises BudgetExceeded before doing the work if the total count
-        would pass the enumeration budget.
-        """
-        budget = budgets.resolve(budgets.ENUMERATE_POINTS)
-        comp_points = []
-        total = 1
-        for p, e, _ in self.modulus.components():
-            pts = self._component_points(p, e, budget)
-            total *= len(pts)
-            if total > budget:
-                raise BudgetExceeded(f"{total}+ points exceeds budget {budget}")
-            comp_points.append(pts)
-        triples = sorted(
-            _crt_triple(combo, self.modulus) for combo in itertools.product(*comp_points)
-        )
-        return [CurvePoint._make(self, t) for t in triples]
+        return CurvePoint._make(self, self.scalar_xyz(k, self._xyz(p)))
 
 
 class CurvePoint:

@@ -30,7 +30,7 @@ from .structure import count_points_fp
 
 def _as_triple(c: Curve, point) -> tuple[int, int, int]:
     if isinstance(point, CurvePoint):
-        xyz = point.xyz
+        xyz = c._xyz(point)
     else:
         xyz = tuple(int(v) % c.n for v in point)
     if not c.on_curve_triple(xyz):

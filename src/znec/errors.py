@@ -14,7 +14,7 @@ class ZnecError(ValueError):
 
 
 class NotPrimitive(ZnecError):
-    """A tuple or matrix whose entries all share a factor with the modulus."""
+    """A coordinate triple whose entries all share a factor with the modulus."""
 
     def __init__(self, modulus: int, gcd: int):
         self.modulus = modulus
@@ -51,8 +51,8 @@ class PointNotOnCurve(ZnecError):
 class BothLawsVanish(ZnecError):
     """Both addition-law triples vanish mod some prime.
 
-    Cannot happen for points actually on the curve; it signals that a
-    raw-coordinate fast path was fed garbage.
+    Cannot happen for points actually on the curve; it signals that
+    Curve.add_xyz, which does not check its inputs, got a triple off it.
     """
 
     def __init__(self, prime: int):
@@ -61,7 +61,7 @@ class BothLawsVanish(ZnecError):
 
 
 class BudgetExceeded(ZnecError):
-    """An enumeration, count or curve search would exceed its configured budget."""
+    """A point count, a construction walk or Pollard rho would exceed its budget."""
 
 
 class NotCyclic(ZnecError):

@@ -13,8 +13,7 @@ X3 = X1 + X2 mod p^(5 min(vp X1, vp X2)).
 from __future__ import annotations
 
 from .curve import Curve, CurvePoint
-from .errors import SelfCheckFailed, ZnecError
-from .modring import vp_int
+from .errors import ZnecError
 
 
 def _mul_trunc(f: list[int], g: list[int], e: int, pe: int) -> list[int]:
@@ -100,30 +99,3 @@ def kernel_generator(curve: Curve) -> CurvePoint:
     if f.e == 1:
         return curve.identity()
     return infinity_point(curve, f.p, f)
-
-
-def infinity_sum_check(curve: Curve, x1: int, x2: int) -> tuple[int, int]:
-    """Add two infinity points and compare X3 against X1 + X2.
-
-    Returns (X3 in [0, p^e), valuation of the difference X3 - (X1 + X2))
-    and raises SelfCheckFailed if the congruence mod p^(5 min(vp X1,
-    vp X2)) fails, which would mean the group law and the infinity
-    parameterization disagree.
-    """
-    f = compute_f(curve)
-    p, e = f.p, f.e
-    pe = curve.n
-    x1, x2 = int(x1) % pe, int(x2) % pe
-    p1 = infinity_point(curve, x1, f)
-    p2 = infinity_point(curve, x2, f)
-    s = curve.add_xyz(p1.xyz, p2.xyz)
-    if s[1] != 1:
-        raise SelfCheckFailed(f"sum of infinity points left the infinity chart: {s}")
-    x3 = s[0]
-    bound = min(e, 5 * min(vp_int(x1, p, e), vp_int(x2, p, e)))
-    val = vp_int(x3 - (x1 + x2), p, e)
-    if val < bound:
-        raise SelfCheckFailed(
-            f"X3 = {x3} differs from X1 + X2 = {(x1 + x2) % pe} at valuation {val} < {bound}"
-        )
-    return x3, val

@@ -10,8 +10,7 @@ E(F_p) + Z/p^(e-1)Z except when |E(F_p)| = p (the anomalous case),
 where the component is either cyclic Z/p^eZ or F_p + Z/p^(e-1)Z; which
 of the two happens is decided by lifting one point and checking its
 order.  classify() assembles the local pieces into an invariant factor
-chain; brute_force_structure() recomputes the same chain from a full
-point enumeration and order counting, as an independent oracle.
+chain.
 """
 
 from __future__ import annotations
@@ -403,59 +402,8 @@ def phi_map(c: Curve, point: CurvePoint) -> tuple[CurvePoint, int]:
         raise ZnecError(f"phi_map is only additive for e <= 5, got e = {e}")
     fp = c.component(p, 1)
     q = count_points_fp(fp)
-    mult = c.scalar_xyz(q, point.xyz)
+    mult = c.scalar_xyz(q, c._xyz(point))
     if mult[1] != 1 or mult[0] % p:
         raise SelfCheckFailed(f"{q} * {point!r} is not a point over infinity")
     first = CurvePoint(fp, tuple(v % p for v in point.xyz))
     return first, mult[0] // p
-
-
-def _component_elementary_divisors(comp: Curve, triples: list[tuple[int, int, int]]) -> list[int]:
-    """Elementary divisors of one component from l-torsion counts.
-
-    #E[l^k] = l^(sum_i min(k, e_i)) over the cyclic decomposition, so the
-    increments of log_l #E[l^k] form the conjugate partition of the
-    exponent multiset {e_i}.
-    """
-    m = len(triples)
-    out: list[int] = []
-    for l, a in factorize(m) if m > 1 else ():
-        logs = [0]
-        level = triples
-        for _ in range(a):
-            level = [comp.scalar_xyz(l, t) for t in level]
-            kills = sum(1 for t in level if t == (0, 1, 0))
-            v = 0
-            while kills > 1:
-                kills //= l
-                v += 1
-            logs.append(v)
-            if v == a:
-                break
-        counts = [logs[k] - logs[k - 1] for k in range(1, len(logs))]  # #{i: e_i >= k}
-        for i in range(counts[0]):
-            e_i = sum(1 for s in counts if s > i)
-            out.append(l**e_i)
-    return out
-
-
-def brute_force_structure(c: Curve) -> GroupStructure:
-    """Invariant factors recomputed from a full enumeration, no theory.
-
-    Independent oracle for classify(): walks every point, counts
-    l-torsion per component by repeated multiplication, and rebuilds the
-    chain from the resulting elementary divisors.
-    """
-    budget = budgets.resolve(budgets.BRUTE_FORCE_POINTS)
-    total = 1
-    for p, e, _ in c.modulus.components():
-        fp = c.component(p, 1)
-        total *= p ** (e - 1) * count_points_fp(fp)
-    if total > budget:
-        raise BudgetExceeded(f"{total} points exceeds brute-force budget {budget}")
-    pool: list[int] = []
-    for p, e, _ in c.modulus.components():
-        comp = c.component(p, e)
-        triples = comp._component_points(p, e, budget)
-        pool.extend(_component_elementary_divisors(comp, triples))
-    return GroupStructure(c.n, invariant_factors(pool))

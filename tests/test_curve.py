@@ -8,13 +8,16 @@ from znec.curve import ADDITIONS, Curve, CurvePoint, new_curve, point_order
 from znec.errors import (
     BadCharacteristic,
     BothLawsVanish,
-    BudgetExceeded,
     PointNotOnCurve,
+    SelfCheckFailed,
     SingularCurve,
     ZnecError,
 )
+from znec.dlp import DlpInstance, lift_point, solve_anomalous_dlp
 from znec.modring import Modulus
 from znec.projective import canonical_triple
+from znec.structure import phi_map
+from enumeration import enumerate_points
 from oracles import affine_add, affine_scalar, crt_pairs, field_points, projective_points
 
 rng = random.Random(0x5EED)
@@ -50,6 +53,29 @@ def test_construction_guards():
         new_curve(1, 1, 1)
 
 
+def _foreign_point_calls():
+    """(call, point of another curve) pairs; each call must reject its point."""
+    c, d = new_curve(1, 1, 125), new_curve(1, 2, 125)
+    P = d.point(1, 2)
+    e13 = new_curve(1, 6, 13)
+    lifted = lift_point(e13, e13.point(2, 4), 2), lift_point(e13, e13.point(3, 7), 2)  # Q = 5P mod 13
+    return {
+        "add": [(lambda Q: c.add(c.identity(), Q), P)],
+        "neg": [(c.neg, P)],
+        "scalar_mul": [(lambda Q: c.scalar_mul(3, Q), P)],
+        "phi_map": [(lambda Q: phi_map(c, Q), Q) for Q in enumerate_points(d) if Q.xyz[2] == 1],
+        "dlp": [(lambda Q: solve_anomalous_dlp(DlpInstance(e13, Q, lifted[1])), lifted[0])],
+    }
+
+
+@pytest.mark.parametrize("entry", ["add", "neg", "scalar_mul", "phi_map", "dlp"])
+def test_points_of_another_curve_are_rejected(entry):
+    for call, point in _foreign_point_calls()[entry]:
+        with pytest.raises(ZnecError) as info:
+            call(point)
+        assert not isinstance(info.value, SelfCheckFailed), info.value
+
+
 @pytest.mark.parametrize("a,b,p", FIELD_CURVES)
 def test_full_addition_table_matches_chord_tangent(a, b, p):
     c = new_curve(a, b, p)
@@ -76,7 +102,7 @@ def test_identity_edge_cases():
 )
 def test_group_axioms_on_samples(a, b, n):
     c = new_curve(a, b, n)
-    pts = c.enumerate_points() if n <= 200 else None
+    pts = enumerate_points(c) if n <= 200 else None
 
     components = c.modulus.components()
     moduli = [pe for _, _, pe in components]
@@ -114,7 +140,7 @@ def test_add_xyz_reduces_componentwise():
     # the law over Z/35Z must project to the field law mod 5 and mod 7
     a, b, n = 1, 1, 35
     c = new_curve(a, b, n)
-    pts = c.enumerate_points()
+    pts = enumerate_points(c)
     for _ in range(80):
         P, Q = rng.choice(pts), rng.choice(pts)
         R = (P + Q).xyz
@@ -132,7 +158,7 @@ def test_mixed_pairs_choose_the_law_per_prime():
     # their sum takes S mod one prime and T mod the other
     a, b, n = 1, 6, 221
     c = new_curve(a, b, n)
-    pts = [P.xyz for P in c.enumerate_points()]
+    pts = [P.xyz for P in enumerate_points(c)]
     mixed, rest = [], []
     for P in pts:
         for Q in pts:
@@ -150,7 +176,7 @@ def test_mixed_pairs_choose_the_law_per_prime():
 
 def test_laws_are_evaluated_only_when_needed(monkeypatch):
     c = new_curve(1, 6, 221)
-    pts = [P.xyz for P in c.enumerate_points()]
+    pts = [P.xyz for P in enumerate_points(c)]
     pairs = random.Random(6).sample([(P, Q) for P in pts for Q in pts if P != Q], 3000)
     s_primitive = {
         pair: all(any(v % p for v in c._law_s(c._law_products(*pair))) for p in (13, 17))
@@ -189,7 +215,7 @@ def _repeated_addition(c, k, P):
 @pytest.mark.parametrize("a,b,n", [(1, 6, 221), (7, 3, 169)])
 def test_scalar_xyz_matches_repeated_addition(a, b, n):
     c = new_curve(a, b, n)
-    pts = [P.xyz for P in c.enumerate_points()]
+    pts = [P.xyz for P in enumerate_points(c)]
     over_infinity = [P for P in pts if P[2] != 1]
     affine = [P for P in pts if P[2] == 1]
     local = random.Random(n)
@@ -234,7 +260,7 @@ def test_scalar_mul_large_k_wraps():
 @pytest.mark.parametrize("a,b,n", [(2, 4, 5), (1, 1, 25), (1, 1, 35)])
 def test_enumerate_points_matches_projective_scan(a, b, n):
     c = new_curve(a, b, n)
-    got = {pt.xyz for pt in c.enumerate_points()}
+    got = {pt.xyz for pt in enumerate_points(c)}
     want = set(projective_points(a, b, n))
     # the oracle picks lex-min orbit representatives; compare as orbits
     units = [u for u in range(1, n) if math.gcd(u, n) == 1]
@@ -247,15 +273,15 @@ def test_cardinality_multiplies_over_crt_and_fibers():
     c5 = new_curve(1, 1, 5)
     c25 = new_curve(1, 1, 25)
     c35 = new_curve(1, 1, 35)
-    n5 = len(c5.enumerate_points())
-    assert len(c25.enumerate_points()) == 5 * n5
+    n5 = len(enumerate_points(c5))
+    assert len(enumerate_points(c25)) == 5 * n5
     c7 = new_curve(1, 1, 7)
-    assert len(c35.enumerate_points()) == n5 * len(c7.enumerate_points())
+    assert len(enumerate_points(c35)) == n5 * len(enumerate_points(c7))
 
 
 def test_reduction_is_a_homomorphism():
     c = new_curve(1, 1, 175)
-    pts = [p for p in c.enumerate_points()]
+    pts = [p for p in enumerate_points(c)]
     for m in (Modulus(5), Modulus(25), Modulus(7)):
         cm = c.reduced(m)
         for _ in range(40):
@@ -281,16 +307,10 @@ def test_both_laws_vanish_only_off_curve():
 def test_on_curve_pairs_never_trip_both_laws():
     for a, b, n in [(2, 4, 5), (1, 6, 13), (1, 1, 35)]:
         c = new_curve(a, b, n)
-        pts = c.enumerate_points()
+        pts = enumerate_points(c)
         for P in pts:
             for Q in pts:
                 c.add_xyz(P.xyz, Q.xyz)  # must not raise
-
-
-def test_enumeration_budget(monkeypatch):
-    monkeypatch.setenv("ZNEC_BUDGET", "10")
-    with pytest.raises(BudgetExceeded):
-        new_curve(7, 3, 169).enumerate_points()
 
 
 def test_addition_counter():

@@ -14,6 +14,7 @@ from znec.errors import (
 from znec.infinity import kernel_generator
 from znec.modring import Modulus
 from znec.structure import CYCLIC, anomalous_type, count_points_fp, is_anomalous
+from enumeration import enumerate_points
 
 rng = random.Random(0xD109)
 
@@ -66,7 +67,7 @@ def test_lift_point_roundtrip(p):
     c = new_curve(a, b, p)
     lifted_curve = new_curve(a, b, p**3, factorization=((p, 3),))
     fp = Modulus.prime_power(p, 1)
-    for pt in c.enumerate_points():
+    for pt in enumerate_points(c):
         lift = dlp.lift_point(c, pt, 3)
         assert lift.curve.n == p**3
         assert lifted_curve.contains(lift.xyz)
@@ -117,7 +118,7 @@ def test_theta_kills_kernel_generator():
 def test_theta_surjective_homomorphism_with_kernel_pi():
     for p in (5, 7, 13):
         c = _cyclic_anomalous_mod_p2(p)
-        pts = c.enumerate_points()
+        pts = enumerate_points(c)
         assert len(pts) == p * p
         table = {pt.xyz: dlp.theta(c, pt) for pt in pts}
         assert set(table.values()) == set(range(p))  # surjective
@@ -140,19 +141,19 @@ def test_theta_well_defined_on_fibers():
     base = new_curve(c2.a % p, c2.b % p, p)
     fp = Modulus.prime_power(p, 1)
     fibers = {}
-    for pt in c2.enumerate_points():
+    for pt in enumerate_points(c2):
         fibers.setdefault(pt.reduced(base).xyz, set()).add(dlp.theta(c2, pt))
     assert all(len(values) == 1 for values in fibers.values())
 
 
 def test_theta_zero_on_split_curve():
     c = new_curve(1, 6, 169)
-    assert all(dlp.theta(c, pt) == 0 for pt in c.enumerate_points())
+    assert all(dlp.theta(c, pt) == 0 for pt in enumerate_points(c))
 
 
 def test_theta_not_cyclic_on_non_anomalous():
     c = new_curve(1, 1, 25)  # |E(F_5)| = 9
-    pts = [pt for pt in c.enumerate_points() if not pt.is_identity()]
+    pts = [pt for pt in enumerate_points(c) if not pt.is_identity()]
     with pytest.raises(NotCyclic):
         for pt in pts:
             dlp.theta(c, pt)
@@ -192,7 +193,7 @@ def test_p5_certificate_needs_exact_count():
             c = new_curve(a, b, 5)
             q = count_points_fp(c)
             if q == 10:
-                pt = next(pt for pt in c.enumerate_points() if not pt.is_identity() and (5 * pt).is_identity())
+                pt = next(pt for pt in enumerate_points(c) if not pt.is_identity() and (5 * pt).is_identity())
                 with pytest.raises(NotAnomalous):
                     dlp.DlpInstance(c, pt, pt)
                 return
@@ -203,7 +204,7 @@ def test_p5_certificate_needs_exact_count():
 def test_solve_exhaustive_small(p):
     a, b = ANOMALOUS[p]
     c = new_curve(a, b, p)
-    P = next(pt for pt in c.enumerate_points() if not pt.is_identity())
+    P = next(pt for pt in enumerate_points(c) if not pt.is_identity())
     for k in range(1, p):
         assert dlp.solve_anomalous_dlp(dlp.DlpInstance(c, P, k * P)) == k
 
@@ -238,7 +239,7 @@ def test_solve_perturbs_past_split_lift(p):
             break
     assert found, f"every verbatim lift mod {p}^2 is cyclic"
     c = new_curve(*found, p)
-    P = next(pt for pt in c.enumerate_points() if not pt.is_identity())
+    P = next(pt for pt in enumerate_points(c) if not pt.is_identity())
     for k in range(1, p):
         assert dlp.solve_anomalous_dlp(dlp.DlpInstance(c, P, k * P)) == k
 

@@ -7,10 +7,10 @@ from znec.infinity import (
     compute_f,
     infinity_point,
     infinity_points,
-    infinity_sum_check,
     kernel_generator,
 )
 from znec.modring import Modulus, vp_int
+from enumeration import infinity_sum_check
 
 rng = random.Random(0x1F1F)
 
