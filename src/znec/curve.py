@@ -143,11 +143,6 @@ class Curve:
     def point(self, x: int, y: int, z: int = 1) -> "CurvePoint":
         return CurvePoint(self, (int(x), int(y), int(z)))
 
-    def contains(self, point) -> bool:
-        if isinstance(point, CurvePoint):
-            return point.curve == self and self.on_curve_triple(point.xyz)
-        return self.on_curve_triple(tuple(int(c) for c in point))
-
     def reduced(self, modulus: Modulus) -> "Curve":
         """The curve mod M for M | N."""
         if self.n % modulus.n:
@@ -271,19 +266,16 @@ class Curve:
         return acc
 
     def _xyz(self, p: "CurvePoint") -> tuple[int, int, int]:
-        """The triple of a point on this curve; a point of another curve is an error."""
+        """The triple of a point on this curve; anything else is an error.
+
+        Every public entry that takes a point checks it here, so a raw
+        triple or a point of another curve never reaches the law.
+        """
+        if not isinstance(p, CurvePoint):
+            raise ZnecError(f"{p!r} is not a CurvePoint of {self!r}")
         if p.curve != self:
             raise ZnecError(f"{p!r} belongs to {p.curve!r}, not to {self!r}")
         return p.xyz
-
-    def add(self, p1: "CurvePoint", p2: "CurvePoint") -> "CurvePoint":
-        return CurvePoint._make(self, self.add_xyz(self._xyz(p1), self._xyz(p2)))
-
-    def neg(self, p: "CurvePoint") -> "CurvePoint":
-        return CurvePoint._make(self, self.neg_xyz(self._xyz(p)))
-
-    def scalar_mul(self, k: int, p: "CurvePoint") -> "CurvePoint":
-        return CurvePoint._make(self, self.scalar_xyz(k, self._xyz(p)))
 
 
 class CurvePoint:
@@ -309,24 +301,26 @@ class CurvePoint:
     def is_identity(self) -> bool:
         return self.xyz == (0, 1, 0)
 
-    def reduced(self, target) -> "CurvePoint":
-        """Image on the curve mod M, for a Modulus M | N or a curve reducing from this one."""
-        if isinstance(target, Modulus):
-            target = self.curve.reduced(target)
-        m = target.n
-        return CurvePoint(target, tuple(v % m for v in self.xyz))
+    def reduced(self, target: Curve) -> "CurvePoint":
+        """Image on target, which must be this point's curve mod some M | N."""
+        c = self.curve
+        if not isinstance(target, Curve) or c.n % target.n or c.reduced(target.modulus) != target:
+            raise ZnecError(f"{target!r} is not {c!r} reduced mod a divisor of {c.n}")
+        return CurvePoint(target, tuple(v % target.n for v in self.xyz))
 
     def __add__(self, other: "CurvePoint") -> "CurvePoint":
-        return self.curve.add(self, other)
+        c = self.curve
+        return CurvePoint._make(c, c.add_xyz(self.xyz, c._xyz(other)))
 
     def __neg__(self) -> "CurvePoint":
-        return self.curve.neg(self)
+        return CurvePoint._make(self.curve, self.curve.neg_xyz(self.xyz))
 
     def __sub__(self, other: "CurvePoint") -> "CurvePoint":
-        return self.curve.add(self, self.curve.neg(other))
+        c = self.curve
+        return CurvePoint._make(c, c.add_xyz(self.xyz, c.neg_xyz(c._xyz(other))))
 
     def __rmul__(self, k: int) -> "CurvePoint":
-        return self.curve.scalar_mul(k, self)
+        return CurvePoint._make(self.curve, self.curve.scalar_xyz(k, self.xyz))
 
     def __eq__(self, other) -> bool:
         return (
@@ -337,9 +331,6 @@ class CurvePoint:
 
     def __hash__(self) -> int:
         return hash((self.curve.n, self.xyz))
-
-    def as_json(self) -> list[str]:
-        return [str(c) for c in self.xyz]
 
     def __repr__(self) -> str:
         return f"({self.xyz[0]} : {self.xyz[1]} : {self.xyz[2]})"
@@ -355,15 +346,15 @@ def new_curve(a: int, b: int, n: int, factorization=None) -> Curve:
 
 
 def point_order(p: CurvePoint, multiple: int) -> int:
-    """Exact order of p given a known multiple of it (e.g. the group order).
+    """Exact order of p given a known positive multiple of it (e.g. the group order).
 
     Per l^a exactly dividing the multiple, (multiple / l^a) p is multiplied
     by l until it reaches O; the steps taken are the l-part of the order.
     """
+    if multiple == 1 and p.is_identity():
+        return 1
     if multiple <= 1:
-        if p.curve.scalar_xyz(multiple, p.xyz) != (0, 1, 0):
-            raise ZnecError(f"{multiple} is not a multiple of the order of {p}")
-        return multiple
+        raise ZnecError(f"{multiple} is not a positive multiple of the order of {p}")
     order = 1
     for q, e in factorize(multiple):
         t = p.curve.scalar_xyz(multiple // q**e, p.xyz)

@@ -19,7 +19,6 @@ from .errors import (
     LiftRetryExhausted,
     NotAnomalous,
     NotCyclic,
-    PointNotOnCurve,
     SelfCheckFailed,
     ThetaZero,
     ZnecError,
@@ -28,42 +27,27 @@ from .modring import vp_int
 from .structure import count_points_fp
 
 
-def _as_triple(c: Curve, point) -> tuple[int, int, int]:
-    if isinstance(point, CurvePoint):
-        xyz = c._xyz(point)
-    else:
-        xyz = tuple(int(v) % c.n for v in point)
-    if not c.on_curve_triple(xyz):
-        raise PointNotOnCurve(f"{xyz} does not satisfy {c!r}")
-    return xyz
-
-
-def lift_point(c: Curve, point, e: int, target: Curve | None = None) -> CurvePoint:
-    """Hensel-lift a point of E(F_p) to the given target curve mod p^e.
+def lift_point(c: Curve, point: CurvePoint, target: Curve) -> CurvePoint:
+    """Hensel-lift a point of E(F_p) to a curve mod p^e that reduces to c.
 
     Newton iteration corrects Y with X fixed, or X with Y fixed for
-    2-torsion points (curve._hensel_lift).  O lifts to O.  `target` may
-    be any curve mod p^e reducing to c; by default the coefficients are
-    reused verbatim.
+    2-torsion points (curve._hensel_lift).  O lifts to O.  p^e is read
+    from the target, whose coefficients may differ from c's by multiples
+    of p.
     """
     p, k = c.modulus.as_prime_power()
     if k != 1:
         raise ZnecError(f"lift source must be mod a prime, got {c.n}")
-    if e < 1:
-        raise ZnecError(f"target exponent must be >= 1, got {e}")
-    if target is None:
-        target = new_curve(c.a, c.b, p**e, factorization=((p, e),)) if e > 1 else c
-    else:
-        tp, te = target.modulus.as_prime_power()
-        if tp != p or te != e or (target.a - c.a) % p or (target.b - c.b) % p:
-            raise ZnecError(f"{target!r} is not a mod {p}^{e} lift of {c!r}")
-    xyz = _as_triple(c, point)
+    tp, e = target.modulus.as_prime_power()
+    if tp != p or (target.a - c.a) % p or (target.b - c.b) % p:
+        raise ZnecError(f"{target!r} does not reduce to {c!r}")
+    xyz = c._xyz(point)
     if xyz == (0, 1, 0):
         return target.identity()
     return target.point(*_hensel_lift(target.a, target.b, xyz[0], xyz[1], p, e))
 
 
-def theta(c: Curve, point) -> int:
+def theta(c: Curve, point: CurvePoint) -> int:
     """Theta(P) = X / p^(e-1) mod p, where p^(e-1) P = (X : 1 : f(X)), in [0, p).
 
     Defined on curves mod p^e (e >= 2) whose group is cyclic of order
@@ -75,7 +59,7 @@ def theta(c: Curve, point) -> int:
     p, e = c.modulus.as_prime_power()
     if e < 2:
         raise ZnecError(f"theta needs e >= 2, got modulus {c.n}")
-    xyz = _as_triple(c, point)
+    xyz = c._xyz(point)
     mult = c.scalar_xyz(p ** (e - 1), xyz)
     if mult[1] != 1 or mult[0] % p or mult[2] % p:
         # points over infinity canonicalize to (X : 1 : f(X)), p | X, p | f(X)
@@ -99,8 +83,8 @@ class DlpInstance:
         p, e = c.modulus.as_prime_power()
         if e != 1:
             raise ZnecError(f"instance curve must be mod a prime, got {c.n}")
-        base = _as_triple(c, self.base)
-        tgt = _as_triple(c, self.target)
+        base = c._xyz(self.base)
+        tgt = c._xyz(self.target)
         if base == (0, 1, 0):
             raise ThetaZero("base point is the identity; its log is undefined")
         if tgt == (0, 1, 0):
@@ -138,17 +122,16 @@ def solve_anomalous_dlp(instance: DlpInstance) -> int:
     """
     c = instance.curve
     p = instance.p
-    base = instance.base.xyz
-    tgt = instance.target.xyz
+    base, tgt = instance.base, instance.target
     a, b = c.a, c.b
     for a2, b2 in ((a, b), (a, b + p), (a + p, b)):
         lifted = new_curve(a2, b2, p * p, factorization=((p, 2),))
-        theta_p = theta(lifted, lift_point(c, base, 2, target=lifted))
+        theta_p = theta(lifted, lift_point(c, base, lifted))
         if theta_p == 0:
             continue  # split lift: Theta vanishes identically
-        theta_q = theta(lifted, lift_point(c, tgt, 2, target=lifted))
+        theta_q = theta(lifted, lift_point(c, tgt, lifted))
         n = theta_q * pow(theta_p, -1, p) % p
-        if c.scalar_xyz(n, base) != tgt:
+        if c.scalar_xyz(n, base.xyz) != tgt.xyz:
             raise SelfCheckFailed(f"verification failed: {n} * {base} != {tgt} on {c!r}")
         return n
     raise LiftRetryExhausted(f"all three lifts of {c!r} to mod {p}^2 were split")

@@ -23,7 +23,7 @@ class NotPrimitive(ZnecError):
 
 
 class NotPrimePower(ZnecError):
-    """An operation that needs a prime-power modulus got a composite one."""
+    """A modulus or elementary divisor that must be a prime power is not one."""
 
 
 class BadCharacteristic(ZnecError):

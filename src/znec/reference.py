@@ -92,12 +92,12 @@ def verify_all() -> list[tuple[str, bool, str]]:
     lifted = new_curve(DLP160_A, DLP160_B, DLP160_P**2, factorization=((DLP160_P, 2),))
     check(
         "Theta of lifted base point",
-        theta(lifted, lift_point(c, base, 2, target=lifted)),
+        theta(lifted, lift_point(c, base, lifted)),
         DLP160_THETA_BASE,
     )
     check(
         "Theta of lifted target point",
-        theta(lifted, lift_point(c, target, 2, target=lifted)),
+        theta(lifted, lift_point(c, target, lifted)),
         DLP160_THETA_TARGET,
     )
     ADDITIONS.reset()

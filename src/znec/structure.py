@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from . import budgets
 from .curve import Curve, CurvePoint, _fp_root, _hensel_lift, _non_residue, point_order
-from .errors import BudgetExceeded, NotAnomalous, SelfCheckFailed, ZnecError
+from .errors import BudgetExceeded, NotAnomalous, NotPrimePower, SelfCheckFailed, ZnecError
 from .modring import Modulus, factorize, is_prime, vp_int
 
 NON_ANOMALOUS = "non-anomalous"
@@ -30,7 +30,8 @@ CYCLIC = "cyclic"
 SPLIT = "split"
 
 # _count_fp sums Legendre symbols up to _CROSSOVER, where both methods take
-# about 0.6 ms a count; Shanks-Mestre (p > 229) and the shape certificate draw _DRAWS points at most
+# about 0.6 ms a count; Shanks-Mestre (p > 229), the shape certificate and
+# anomalous_type each draw _DRAWS points at most
 _CROSSOVER = 2000
 _DRAWS = 40
 
@@ -107,7 +108,10 @@ def invariant_factors(prime_powers) -> tuple[int, ...]:
     for pp in prime_powers:
         if pp == 1:
             continue
-        (q, k), = factorize(pp)
+        factors = factorize(pp)
+        if len(factors) != 1:
+            raise NotPrimePower(f"elementary divisor {pp} is not a prime power")
+        (q, k), = factors
         per_prime.setdefault(q, []).append(k)
     for exps in per_prime.values():
         exps.sort(reverse=True)
@@ -405,5 +409,4 @@ def phi_map(c: Curve, point: CurvePoint) -> tuple[CurvePoint, int]:
     mult = c.scalar_xyz(q, c._xyz(point))
     if mult[1] != 1 or mult[0] % p:
         raise SelfCheckFailed(f"{q} * {point!r} is not a point over infinity")
-    first = CurvePoint(fp, tuple(v % p for v in point.xyz))
-    return first, mult[0] // p
+    return point.reduced(fp), mult[0] // p

@@ -117,8 +117,8 @@ def test_criterion_04_attack_bit_exact():
     c = new_curve(A160, B160, P160, factorization=((P160, 1),))
     P, Q = c.point(1, PY160), c.point(3, QY160)
     lifted = new_curve(A160, B160, P160 * P160, factorization=((P160, 2),))
-    assert theta(lifted, lift_point(c, P, 2, target=lifted)) == THETA_P160
-    assert theta(lifted, lift_point(c, Q, 2, target=lifted)) == THETA_Q160
+    assert theta(lifted, lift_point(c, P, lifted)) == THETA_P160
+    assert theta(lifted, lift_point(c, Q, lifted)) == THETA_Q160
 
     ADDITIONS.reset()
     n = solve_anomalous_dlp(DlpInstance(c, P, Q))

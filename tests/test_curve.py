@@ -13,7 +13,7 @@ from znec.errors import (
     SingularCurve,
     ZnecError,
 )
-from znec.dlp import DlpInstance, lift_point, solve_anomalous_dlp
+from znec.dlp import DlpInstance, lift_point, theta
 from znec.modring import Modulus
 from znec.projective import canonical_triple
 from znec.structure import phi_map
@@ -54,26 +54,41 @@ def test_construction_guards():
 
 
 def _foreign_point_calls():
-    """(call, point of another curve) pairs; each call must reject its point."""
+    """Per entry, (call, arguments it must reject) pairs.
+
+    Each call gets a raw triple and a point of another curve.  For
+    CurvePoint.reduced the argument is the target, so it gets a triple, a
+    Modulus and curves that are not the point's curve reduced mod M | N.
+    """
     c, d = new_curve(1, 1, 125), new_curve(1, 2, 125)
-    P = d.point(1, 2)
-    e13 = new_curve(1, 6, 13)
-    lifted = lift_point(e13, e13.point(2, 4), 2), lift_point(e13, e13.point(3, 7), 2)  # Q = 5P mod 13
+    raw, P = (0, 1, 1), d.point(1, 2)  # raw satisfies c; P lies on d only
+    e13, e169 = new_curve(1, 6, 13), new_curve(1, 6, 169)
+    base, target = e13.point(2, 4), e13.point(3, 7)  # target = 5 base
+    lifted = lift_point(e13, base, e169), lift_point(e13, target, e169)
+    point25 = new_curve(1, 1, 25).point(0, 1)
     return {
-        "add": [(lambda Q: c.add(c.identity(), Q), P)],
-        "neg": [(c.neg, P)],
-        "scalar_mul": [(lambda Q: c.scalar_mul(3, Q), P)],
-        "phi_map": [(lambda Q: phi_map(c, Q), Q) for Q in enumerate_points(d) if Q.xyz[2] == 1],
-        "dlp": [(lambda Q: solve_anomalous_dlp(DlpInstance(e13, Q, lifted[1])), lifted[0])],
+        "add": [(lambda Q: c.identity() + Q, [raw, P])],
+        "sub": [(lambda Q: c.identity() - Q, [raw, P])],
+        "lift_point": [(lambda Q: lift_point(e13, Q, e169), [(2, 4, 1), lifted[0]])],
+        "theta": [(lambda Q: theta(new_curve(7, 3, 169), Q), [(0, 61, 1), lifted[0]])],
+        "dlp": [
+            (lambda Q: DlpInstance(e13, Q, (3, 7, 1)), [(2, 4, 1), lifted[0]]),
+            (lambda Q: DlpInstance(e13, base, Q), [(3, 7, 1), lifted[1]]),
+        ],
+        "phi_map": [(lambda Q: phi_map(c, Q), [raw] + [Q for Q in enumerate_points(d) if Q.xyz[2] == 1])],
+        "reduced": [
+            (point25.reduced, [(1, 1, 5), Modulus(5), new_curve(2, 1, 5), new_curve(1, 1, 7)]),
+        ],
     }
 
 
-@pytest.mark.parametrize("entry", ["add", "neg", "scalar_mul", "phi_map", "dlp"])
+@pytest.mark.parametrize("entry", ["add", "sub", "lift_point", "theta", "dlp", "phi_map", "reduced"])
 def test_points_of_another_curve_are_rejected(entry):
-    for call, point in _foreign_point_calls()[entry]:
-        with pytest.raises(ZnecError) as info:
-            call(point)
-        assert not isinstance(info.value, SelfCheckFailed), info.value
+    for call, rejected in _foreign_point_calls()[entry]:
+        for arg in rejected:
+            with pytest.raises(ZnecError) as info:
+                call(arg)
+            assert not isinstance(info.value, SelfCheckFailed), info.value
 
 
 @pytest.mark.parametrize("a,b,p", FIELD_CURVES)
@@ -125,13 +140,13 @@ def test_group_axioms_on_samples(a, b, n):
 
     sample = [random_point() for _ in range(8)]
     for P in sample:
-        assert c.contains(P)
+        assert P.curve == c and c.on_curve_triple(P.xyz)
         assert (P + c.identity()) == P
         assert (P - P).is_identity()
     for _ in range(25):
         P, Q, R = (sample[rng.randrange(len(sample))] for _ in range(3))
         s = P + Q
-        assert c.contains(s)  # closure
+        assert s.curve == c and c.on_curve_triple(s.xyz)  # closure
         assert s == Q + P  # commutativity
         assert (P + Q) + R == P + (Q + R)  # associativity
 
@@ -146,8 +161,8 @@ def test_add_xyz_reduces_componentwise():
         R = (P + Q).xyz
         for p in (5, 7):
             cp = new_curve(a, b, p)
-            Pp = _to_affine(P.reduced(Modulus(p)).xyz)
-            Qp = _to_affine(Q.reduced(Modulus(p)).xyz)
+            Pp = _to_affine(P.reduced(cp).xyz)
+            Qp = _to_affine(Q.reduced(cp).xyz)
             want = affine_add(a, b, p, Pp, Qp)
             got = _to_affine(CurvePoint(cp, tuple(v % p for v in R)).xyz)
             assert got == want
@@ -286,15 +301,15 @@ def test_reduction_is_a_homomorphism():
         cm = c.reduced(m)
         for _ in range(40):
             P, Q = rng.choice(pts), rng.choice(pts)
-            assert (P + Q).reduced(m) == cm.add(P.reduced(m), Q.reduced(m))
+            assert (P + Q).reduced(cm) == P.reduced(cm) + Q.reduced(cm)
 
 
 def test_point_validation():
     c = new_curve(1, 1, 5)
     with pytest.raises(PointNotOnCurve):
         c.point(1, 1)
-    assert c.contains((0, 1, 1))
-    assert not c.contains((1, 1, 1))
+    assert c.on_curve_triple((0, 1, 1))
+    assert not c.on_curve_triple((1, 1, 1))
 
 
 def test_both_laws_vanish_only_off_curve():
@@ -331,9 +346,11 @@ def test_point_order_fixtures():
     assert point_order(c2.point(2, 4), 169) == 13
     assert point_order(c.identity(), 169) == 1
     assert point_order(c.identity(), 1) == 1
-    for wrong in (1, 13, 2 * 13 * 5):
+    for wrong in (1, 13, 2 * 13 * 5, 0, -169):  # a multiple below 1 is no bound on the order
         with pytest.raises(ZnecError):
             point_order(c.point(0, 61), wrong)
+    with pytest.raises(ZnecError):
+        point_order(c.identity(), 0)
     c3 = new_curve(2, 3, 97)  # 100 = 2^2 * 5^2 points
     ADDITIONS.reset()
     assert point_order(c3.point(0, 10), 100) == 50

@@ -8,11 +8,10 @@ from znec.errors import (
     LiftRetryExhausted,
     NotAnomalous,
     NotCyclic,
-    PointNotOnCurve,
     ThetaZero,
+    ZnecError,
 )
 from znec.infinity import kernel_generator
-from znec.modring import Modulus
 from znec.structure import CYCLIC, anomalous_type, count_points_fp, is_anomalous
 from enumeration import enumerate_points
 
@@ -66,11 +65,10 @@ def test_lift_point_roundtrip(p):
     a, b = ANOMALOUS[p]
     c = new_curve(a, b, p)
     lifted_curve = new_curve(a, b, p**3, factorization=((p, 3),))
-    fp = Modulus.prime_power(p, 1)
     for pt in enumerate_points(c):
-        lift = dlp.lift_point(c, pt, 3)
-        assert lift.curve.n == p**3
-        assert lifted_curve.contains(lift.xyz)
+        lift = dlp.lift_point(c, pt, lifted_curve)
+        assert lift.curve == lifted_curve
+        assert lifted_curve.on_curve_triple(lift.xyz)
         assert lift.reduced(c) == pt
         if not pt.is_identity():
             assert lift.xyz[0] == pt.xyz[0]  # X pinned, Y corrected
@@ -78,21 +76,21 @@ def test_lift_point_roundtrip(p):
 
 def test_lift_point_identity_and_validation():
     c = new_curve(3, 2, 5)
-    assert dlp.lift_point(c, c.identity(), 4).is_identity()
-    assert dlp.lift_point(c, c.point(1, 4), 1) == c.point(1, 4)
-    with pytest.raises(PointNotOnCurve):
-        dlp.lift_point(c, (1, 2, 1), 2)
+    assert dlp.lift_point(c, c.identity(), new_curve(3, 2, 625)).is_identity()
+    assert dlp.lift_point(c, c.point(1, 4), c) == c.point(1, 4)
+    with pytest.raises(ZnecError):
+        dlp.lift_point(c, (1, 2, 1), new_curve(3, 2, 25))
     with pytest.raises(ValueError):
-        dlp.lift_point(new_curve(1, 1, 25), new_curve(1, 1, 25).identity(), 3)
+        dlp.lift_point(new_curve(1, 1, 25), new_curve(1, 1, 25).identity(), new_curve(1, 1, 125))
     with pytest.raises(ValueError):
-        dlp.lift_point(c, c.point(1, 4), 2, target=new_curve(1, 1, 25))
+        dlp.lift_point(c, c.point(1, 4), new_curve(1, 1, 25))
 
 
 def test_lift_point_two_torsion_branch():
     # E_{1,0}(F_5) has the 2-torsion point (2, 0); lift on X instead of Y
     c = new_curve(1, 0, 5)
     pt = c.point(2, 0)
-    lift = dlp.lift_point(c, pt, 3)
+    lift = dlp.lift_point(c, pt, new_curve(1, 0, 125))
     x, y, z = lift.xyz
     assert y == 0 and z == 1 and x % 5 == 2
     assert (x**3 + x) % 125 == 0
@@ -102,7 +100,8 @@ def test_lift_point_two_torsion_branch():
 def test_lift_newton_step_formula():
     # one Newton step mod p^2: Y' = P_y + alpha p, alpha = (1+A+B-P_y^2)/(2 p P_y)
     c = _curve160()
-    lift = dlp.lift_point(c, c.point(PX160, PY160), 2)
+    lifted = new_curve(A160, B160, P160 * P160, factorization=((P160, 2),))
+    lift = dlp.lift_point(c, c.point(PX160, PY160), lifted)
     alpha = (1 + A160 + B160 - PY160 * PY160) // P160 * pow(2 * PY160, -1, P160) % P160
     assert lift.xyz[1] == PY160 + alpha * P160
 
@@ -139,7 +138,6 @@ def test_theta_well_defined_on_fibers():
     p = 7
     c2 = _cyclic_anomalous_mod_p2(p)
     base = new_curve(c2.a % p, c2.b % p, p)
-    fp = Modulus.prime_power(p, 1)
     fibers = {}
     for pt in enumerate_points(c2):
         fibers.setdefault(pt.reduced(base).xyz, set()).add(dlp.theta(c2, pt))
@@ -164,8 +162,8 @@ def test_theta_not_cyclic_on_non_anomalous():
 def test_theta_160bit_values():
     lifted = new_curve(A160, B160, P160 * P160, factorization=((P160, 2),))
     c = _curve160()
-    lp = dlp.lift_point(c, c.point(PX160, PY160), 2, target=lifted)
-    lq = dlp.lift_point(c, c.point(QX160, QY160), 2, target=lifted)
+    lp = dlp.lift_point(c, c.point(PX160, PY160), lifted)
+    lq = dlp.lift_point(c, c.point(QX160, QY160), lifted)
     assert dlp.theta(lifted, lp) == THETA_P160
     assert dlp.theta(lifted, lq) == THETA_Q160
 

@@ -83,15 +83,14 @@ def test_imprimitive_triple_rejected():
 
 def test_reduced_projects_and_chains():
     pt = new_curve(2, 111, 175).point(3, 12)  # 175 = 5^2 * 7
-    r5 = pt.reduced(Modulus.prime_power(5, 1))
+    r5 = pt.reduced(new_curve(2, 111, 5))
     assert r5.xyz == canonical_triple(3, 12, 1, Modulus(5))
-    r25 = pt.reduced(Modulus.prime_power(5, 2))
-    assert r25.reduced(Modulus(5)) == r5
+    r25 = pt.reduced(new_curve(2, 111, 25))
+    assert r25.reduced(new_curve(2, 1, 5)) == r5
     with pytest.raises(ValueError):
-        pt.reduced(Modulus(6))  # 6 does not divide 175
+        pt.reduced(new_curve(2, 111, 11))  # 11 does not divide 175
 
 
-def test_json_and_repr():
+def test_repr():
     pt = new_curve(7, 3, 169).point(0, 61)
-    assert pt.as_json() == ["0", "61", "1"]
     assert repr(pt) == "(0 : 61 : 1)"

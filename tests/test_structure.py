@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from znec import structure
 from znec.curve import ADDITIONS, new_curve
-from znec.errors import BudgetExceeded, NotAnomalous, SelfCheckFailed
+from znec.errors import BudgetExceeded, NotAnomalous, SelfCheckFailed, ZnecError
 from znec.modring import factorize, is_prime
 from znec.structure import (
     CYCLIC,
@@ -40,6 +40,12 @@ def test_invariant_factors_merge():
     assert invariant_factors([]) == ()
     assert invariant_factors([4, 2, 3]) == (2, 12)
     assert invariant_factors([5, 5, 5]) == (5, 5, 5)
+
+
+def test_invariant_factors_reject_a_composite_entry():
+    for entries in ([6], [5, 6, 25]):
+        with pytest.raises(ZnecError, match=r"\b6\b"):
+            invariant_factors(entries)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 37])
