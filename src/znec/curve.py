@@ -5,9 +5,9 @@ P^2(Z/NZ), with gcd(6, N) = 1 and the discriminant -(4A^3 + 27B^2) a unit.
 Addition evaluates two bidegree-(2,2) polynomial triples S and T that
 together cover all input pairs.  Over each Z/p^eZ whichever output is
 primitive mod p represents the sum, so the sum is chosen prime by prime
-(S where it is primitive, else T), canonicalized, and glued with CRT
-idempotents.  Each law is evaluated only when needed: S vanishes on a
-doubling, and T is read only where S is imprimitive.
+(S where it is primitive, else T) and glued with CRT idempotents.  A scalar
+multiplication puts only its last sum in canonical form.  Each law is
+evaluated only when needed: S vanishes on a doubling, T is read where S is not.
 There is no case split on the inputs, so points over infinity (Z not a
 unit) are handled by the same formulas as affine ones.
 """
@@ -19,7 +19,7 @@ import math
 from .errors import BadCharacteristic, BothLawsVanish, PointNotOnCurve, SingularCurve, ZnecError
 # crt_ints is not called here; bench/tracer.py patches znec.curve.crt_ints by name
 from .modring import Modulus, crt_ints, factorize
-from .projective import _canonical_prime_power, _crt_triple, canonical_triple
+from .projective import _canonical_prime_power, _crt_triple, _primitive_prime_power, canonical_triple
 
 
 class _AdditionCounter:
@@ -223,46 +223,49 @@ class Curve:
         ) % n
         return t1, t2, t3
 
-    def add_xyz(self, p1: tuple[int, int, int], p2: tuple[int, int, int]) -> tuple[int, int, int]:
+    def add_xyz(
+        self, p1: tuple[int, int, int], p2: tuple[int, int, int], *, canonical: bool = True
+    ) -> tuple[int, int, int]:
         """Canonical triple of p1 + p2.  Inputs must be on the curve.
 
-        Prime by prime, the canonical form of the S output when it is
-        primitive mod p, else that of T, glued with the CRT idempotents.
-        Each law is evaluated only when needed: S is skipped on a doubling
-        (p1 == p2), where it vanishes, and T is evaluated only once S is
-        imprimitive mod some p.
+        Prime by prime, the canonical form of S when it is primitive mod p,
+        else that of T, glued with the CRT idempotents.  canonical=False makes
+        the same choice with no inverse and returns S or T itself, or their glue.
+        S is skipped on a doubling (p1 == p2), where it vanishes, and T is
+        evaluated only once S is imprimitive mod some p.
         """
         ADDITIONS.value += 1
         products = self._law_products(p1, p2)
         s = None if p1 == p2 else self._law_s(products)
         t = None
         parts = []
+        form = _canonical_prime_power if canonical else _primitive_prime_power
         for p, _, pe in self.modulus.components():
-            part = None if s is None else _canonical_prime_power(*s, p, pe)
+            part = None if s is None else form(*s, p, pe)
             if part is None:
                 if t is None:
                     t = self._law_t(products)
-                part = _canonical_prime_power(*t, p, pe)
+                part = form(*t, p, pe)
                 if part is None:
                     raise BothLawsVanish(p)
             parts.append(part)
-        return _crt_triple(parts, self.modulus)
+        one_law = not canonical and parts.count(parts[0]) == len(parts)
+        return parts[0] if one_law else _crt_triple(parts, self.modulus)
 
     def neg_xyz(self, p: tuple[int, int, int]) -> tuple[int, int, int]:
-        x, y, z = p
-        return canonical_triple(x, (-y) % self.n, z, self.modulus)
+        return canonical_triple(p[0], -p[1] % self.n, p[2], self.modulus)
 
     def scalar_xyz(self, k: int, p: tuple[int, int, int]) -> tuple[int, int, int]:
-        """Double-and-add from p past the leading bit; negative k multiplies -p."""
+        """k p by double-and-add from p, raw until the last addition canonicalizes; k < 0 uses -p."""
         if k < 0:
-            k, p = -k, self.neg_xyz(p)
+            k, p = -k, (p[0], -p[1] % self.n, p[2])
         if k == 0:
             return (0, 1, 0)
         acc = p if k > 1 else canonical_triple(*p, self.modulus)  # no addition canonicalizes for k = 1
-        for bit in bin(k)[3:]:
-            acc = self.add_xyz(acc, acc)
+        for i, bit in enumerate(bin(k)[3:], 2 - k.bit_length()):  # i == 0 on the last bit
+            acc = self.add_xyz(acc, acc, canonical=not i and bit == "0")
             if bit == "1":
-                acc = self.add_xyz(acc, p)
+                acc = self.add_xyz(acc, p, canonical=not i)
         return acc
 
     def _xyz(self, p: "CurvePoint") -> tuple[int, int, int]:
@@ -351,6 +354,8 @@ def point_order(p: CurvePoint, multiple: int) -> int:
     Per l^a exactly dividing the multiple, (multiple / l^a) p is multiplied
     by l until it reaches O; the steps taken are the l-part of the order.
     """
+    if not isinstance(p, CurvePoint):
+        raise ZnecError(f"{p!r} is not a CurvePoint")
     if multiple == 1 and p.is_identity():
         return 1
     if multiple <= 1:

@@ -38,9 +38,9 @@ def lift_point(c: Curve, point: CurvePoint, target: Curve) -> CurvePoint:
     p, k = c.modulus.as_prime_power()
     if k != 1:
         raise ZnecError(f"lift source must be mod a prime, got {c.n}")
-    tp, e = target.modulus.as_prime_power()
-    if tp != p or (target.a - c.a) % p or (target.b - c.b) % p:
+    if not isinstance(target, Curve) or target.n % p or target.reduced(c.modulus) != c:
         raise ZnecError(f"{target!r} does not reduce to {c!r}")
+    e = target.modulus.as_prime_power()[1]
     xyz = c._xyz(point)
     if xyz == (0, 1, 0):
         return target.identity()

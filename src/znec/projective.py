@@ -30,6 +30,11 @@ def _canonical_prime_power(x: int, y: int, z: int, p: int, pe: int) -> tuple[int
     return None
 
 
+def _primitive_prime_power(x: int, y: int, z: int, p: int, pe: int) -> tuple[int, int, int] | None:
+    """(x, y, z) unscaled, or None if p divides all three: _canonical_prime_power without the inverse."""
+    return (x, y, z) if x % p or y % p or z % p else None
+
+
 def canonical_triple(x: int, y: int, z: int, modulus: Modulus) -> tuple[int, int, int]:
     """The canonical representative of (x : y : z) as integers in [0, N).
 

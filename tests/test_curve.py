@@ -16,6 +16,7 @@ from znec.errors import (
 from znec.dlp import DlpInstance, lift_point, theta
 from znec.modring import Modulus
 from znec.projective import canonical_triple
+from znec.reference import DLP160_A, DLP160_B, DLP160_BASE, DLP160_P
 from znec.structure import phi_map
 from enumeration import enumerate_points
 from oracles import affine_add, affine_scalar, crt_pairs, field_points, projective_points
@@ -251,6 +252,90 @@ def test_scalar_xyz_addition_count():
         ADDITIONS.reset()
         c.scalar_xyz(k, P)
         assert ADDITIONS.value == k.bit_length() - 1 + bin(k).count("1") - 1, k
+
+
+def _unit_multiple(c, P, local):
+    """P scaled by a random unit other than 1: a non-canonical triple of the same point."""
+    u = next(u for u in iter(lambda: local.randrange(2, c.n), None) if math.gcd(u, c.n) == 1)
+    return tuple(u * v % c.n for v in P)
+
+
+@pytest.mark.parametrize("a,b,n", [(1, 6, 221), (1, 1, 175), (7, 3, 169)])
+def test_raw_addition_canonicalizes_to_the_canonical_sum(a, b, n):
+    # 221 = 13 * 17 has pairs that take S mod one prime and T mod the other;
+    # 175 = 5^2 * 7 and 169 = 13^2 have points over infinity mod p^2
+    c = new_curve(a, b, n)
+    local = random.Random(n)
+    pts = [P.xyz for P in enumerate_points(c)]
+    pairs = [(P, Q) for P in pts for Q in pts]
+    pairs = local.sample(pairs, 600) + [(P, P) for P in pts] + [(P, c.neg_xyz(P)) for P in pts]
+    mixed = 0  # pairs whose S is primitive mod one prime and not the other
+    for P, Q in pairs:
+        want = c.add_xyz(P, Q)
+        for u, v in ((P, Q), (_unit_multiple(c, P, local), _unit_multiple(c, Q, local))):
+            raw = c.add_xyz(u, v, canonical=False)
+            assert c.on_curve_triple(raw), (u, v)
+            assert canonical_triple(*raw, c.modulus) == want == c.add_xyz(u, v), (u, v)
+        s = c._law_s(c._law_products(P, Q))
+        mixed += len({any(x % p for x in s) for p, _, _ in c.modulus.components()}) == 2
+    if n == 221:
+        assert mixed
+
+
+def _canonical_ladder(c, k, P):
+    """k P by left-to-right double-and-add from O, every addition canonical."""
+    if k < 0:
+        k, P = -k, c.neg_xyz(P)
+    acc = (0, 1, 0)
+    for bit in bin(k)[2:]:
+        acc = c.add_xyz(acc, acc)
+        if bit == "1":
+            acc = c.add_xyz(acc, P)
+    return acc
+
+
+def test_scalar_xyz_matches_a_canonical_ladder_on_the_160_bit_curve():
+    p = DLP160_P
+    fp = new_curve(DLP160_A, DLP160_B, p, factorization=((p, 1),))
+    lifted = new_curve(DLP160_A, DLP160_B, p * p, factorization=((p, 2),))
+    base = fp.point(*DLP160_BASE)
+    local = random.Random(160)
+    ks = [0, 1, 2, 3, -1, -2, -5, p, p - 1, -p] + [local.getrandbits(160) for _ in range(3)]
+    ks.append(-local.getrandbits(160))
+    for c, P in ((fp, base.xyz), (lifted, lift_point(fp, base, lifted).xyz)):
+        for Q in (P, _unit_multiple(c, P, local)):
+            for k in ks:
+                assert c.scalar_xyz(k, Q) == _canonical_ladder(c, k, Q), (c, Q, k)
+
+
+def test_scalar_xyz_inverts_once_per_prime(monkeypatch):
+    import znec.curve
+
+    inverted = []
+    canonical = znec.curve._canonical_prime_power
+
+    def counted(x, y, z, p, pe):
+        part = canonical(x, y, z, p, pe)
+        if part is not None:  # None means p divides all three: nothing was inverted
+            inverted.append(p)
+        return part
+
+    monkeypatch.setattr(znec.curve, "_canonical_prime_power", counted)
+    for c, P in ((new_curve(DLP160_A, DLP160_B, DLP160_P, factorization=((DLP160_P, 1),)), DLP160_BASE),
+                 (new_curve(1, 6, 221), (3, 6, 1))):
+        for k in (2, 3, 2**64 + 1, -(2**64 + 1)):
+            inverted.clear()
+            c.scalar_xyz(k, P)
+            assert sorted(inverted) == [p for p, _, _ in c.modulus.components()], (c, k)
+
+
+def test_point_order_and_lift_point_reject_wrong_types():
+    c = new_curve(1, 6, 13)
+    with pytest.raises(ZnecError):
+        point_order((2, 4, 1), 13)
+    for target in (2, None, Modulus(169), new_curve(1, 7, 169)):
+        with pytest.raises(ZnecError):
+            lift_point(c, c.point(2, 4), target)
 
 
 @pytest.mark.parametrize("a,b,p", FIELD_CURVES)

@@ -102,6 +102,18 @@ def test_group_axioms_on_random_composite_n(data):
 
 
 @settings(max_examples=40, deadline=None, database=None)
+@given(curves_with_points(count=2), st.integers(2, 2**64), st.integers(2, 2**64))
+def test_raw_addition_is_a_representative_of_the_canonical_sum(data, u, v):
+    c, (P, Q) = data
+    assume(math.gcd(u * v, c.n) == 1)
+    P, Q = (canonical_triple(*t, c.modulus) for t in (P, Q))
+    uP, vQ = tuple(u * x % c.n for x in P), tuple(v * x % c.n for x in Q)
+    for left, right in ((P, Q), (uP, vQ), (uP, P), (P, P), (uP, c.neg_xyz(P)), (O, vQ)):
+        raw = c.add_xyz(left, right, canonical=False)
+        assert canonical_triple(*raw, c.modulus) == c.add_xyz(left, right), (left, right)
+
+
+@settings(max_examples=40, deadline=None, database=None)
 @given(curves_with_points(count=1), st.integers(1, 2**64))
 def test_canonical_triple_idempotent_and_unit_invariant(data, u):
     c, (P,) = data
