@@ -4,10 +4,12 @@ The curve is the short Weierstrass model Y^2 Z = X^3 + A X Z^2 + B Z^3 in
 P^2(Z/NZ), with gcd(6, N) = 1 and the discriminant -(4A^3 + 27B^2) a unit.
 Addition evaluates two bidegree-(2,2) polynomial triples S and T that
 together cover all input pairs.  Over each Z/p^eZ whichever output is
-primitive mod p represents the sum, so the sum is chosen prime by prime
-(S where it is primitive, else T) and glued with CRT idempotents.  A scalar
-multiplication puts only its last sum in canonical form.  Each law is
-evaluated only when needed: S vanishes on a doubling, T is read where S is not.
+primitive mod p represents the sum, so the law is chosen prime by prime
+(S where it is primitive, else T) and the raw sum is S + eps_T (T - S),
+eps_T the sum of the CRT idempotents of the primes that take T.  Each law
+is evaluated only when needed: S vanishes on a doubling, T is read where S
+is not.  Scaling to canonical form is left to projective.canonical_triple,
+which a scalar multiplication calls once, after its last addition.
 There is no case split on the inputs, so points over infinity (Z not a
 unit) are handled by the same formulas as affine ones.
 """
@@ -19,7 +21,7 @@ import math
 from .errors import BadCharacteristic, BothLawsVanish, PointNotOnCurve, SingularCurve, ZnecError
 # crt_ints is not called here; bench/tracer.py patches znec.curve.crt_ints by name
 from .modring import Modulus, crt_ints, factorize
-from .projective import _canonical_prime_power, _crt_triple, _primitive_prime_power, canonical_triple
+from .projective import canonical_triple
 
 
 class _AdditionCounter:
@@ -96,7 +98,7 @@ def _hensel_lift(a: int, b: int, x: int, y: int, p: int, e: int) -> tuple[int, i
 class Curve:
     """E_{A,B}(Z/NZ) together with the constants the group law reuses."""
 
-    __slots__ = ("modulus", "a", "b", "_b3", "_aa", "_t2k")
+    __slots__ = ("modulus", "n", "a", "b", "_b3", "_aa", "_t2k")
 
     def __init__(self, a: int, b: int, modulus: Modulus):
         n = modulus.n
@@ -109,6 +111,7 @@ class Curve:
         if g != 1:
             raise SingularCurve(n, g)
         self.modulus = modulus
+        self.n = n
         self.a = a
         self.b = b
         self._b3 = 3 * b % n
@@ -116,10 +119,6 @@ class Curve:
         self._t2k = (a * a * a + 9 * b * b) % n
 
     # --- basic structure ------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return self.modulus.n
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Curve) and (self.n, self.a, self.b) == (other.n, other.a, other.b)
@@ -226,47 +225,51 @@ class Curve:
     def add_xyz(
         self, p1: tuple[int, int, int], p2: tuple[int, int, int], *, canonical: bool = True
     ) -> tuple[int, int, int]:
-        """Canonical triple of p1 + p2.  Inputs must be on the curve.
+        """p1 + p2, canonical or, with canonical=False, raw.  Inputs must be on the curve.
 
-        Prime by prime, the canonical form of S when it is primitive mod p,
-        else that of T, glued with the CRT idempotents.  canonical=False makes
-        the same choice with no inverse and returns S or T itself, or their glue.
-        S is skipped on a doubling (p1 == p2), where it vanishes, and T is
-        evaluated only once S is imprimitive mod some p.
+        Prime by prime the sum is S where S is primitive mod p, else T.  The
+        raw sum is S or T itself when one law serves every prime, else
+        S + eps_T (T - S) mod N.  S is skipped on a doubling (p1 == p2), where
+        it vanishes, and T is evaluated only once S is imprimitive mod some p.
         """
         ADDITIONS.value += 1
         products = self._law_products(p1, p2)
         s = None if p1 == p2 else self._law_s(products)
         t = None
-        parts = []
-        form = _canonical_prime_power if canonical else _primitive_prime_power
-        for p, _, pe in self.modulus.components():
-            part = None if s is None else form(*s, p, pe)
-            if part is None:
-                if t is None:
-                    t = self._law_t(products)
-                part = form(*t, p, pe)
-                if part is None:
-                    raise BothLawsVanish(p)
-            parts.append(part)
-        one_law = not canonical and parts.count(parts[0]) == len(parts)
-        return parts[0] if one_law else _crt_triple(parts, self.modulus)
+        eps_t = 0  # the idempotents of the primes that take T, summed
+        for (p, _, _), eps in zip(self.modulus.components(), self.modulus.idempotents):
+            if s is not None and (s[0] % p or s[1] % p or s[2] % p):
+                continue
+            if t is None:
+                t = self._law_t(products)
+            if not (t[0] % p or t[1] % p or t[2] % p):
+                raise BothLawsVanish(p)
+            eps_t += eps
+        if t is None:
+            raw = s
+        elif s is None:
+            raw = t
+        else:  # S mod the primes that take S, T mod the rest
+            n = self.n
+            raw = tuple((u + eps_t * (v - u)) % n for u, v in zip(s, t))
+        return canonical_triple(*raw, self.modulus) if canonical else raw
 
     def neg_xyz(self, p: tuple[int, int, int]) -> tuple[int, int, int]:
-        return canonical_triple(p[0], -p[1] % self.n, p[2], self.modulus)
+        """The raw triple (x, -y, z) of -p; canonical_triple puts it in canonical form."""
+        return p[0], -p[1] % self.n, p[2]
 
     def scalar_xyz(self, k: int, p: tuple[int, int, int]) -> tuple[int, int, int]:
-        """k p by double-and-add from p, raw until the last addition canonicalizes; k < 0 uses -p."""
+        """k p by raw double-and-add from p, canonical after the last addition; k < 0 uses -p."""
         if k < 0:
-            k, p = -k, (p[0], -p[1] % self.n, p[2])
+            k, p = -k, self.neg_xyz(p)
         if k == 0:
             return (0, 1, 0)
-        acc = p if k > 1 else canonical_triple(*p, self.modulus)  # no addition canonicalizes for k = 1
-        for i, bit in enumerate(bin(k)[3:], 2 - k.bit_length()):  # i == 0 on the last bit
-            acc = self.add_xyz(acc, acc, canonical=not i and bit == "0")
+        acc = p
+        for bit in bin(k)[3:]:
+            acc = self.add_xyz(acc, acc, canonical=False)
             if bit == "1":
-                acc = self.add_xyz(acc, p, canonical=not i)
-        return acc
+                acc = self.add_xyz(acc, p, canonical=False)
+        return canonical_triple(*acc, self.modulus)
 
     def _xyz(self, p: "CurvePoint") -> tuple[int, int, int]:
         """The triple of a point on this curve; anything else is an error.
@@ -316,7 +319,8 @@ class CurvePoint:
         return CurvePoint._make(c, c.add_xyz(self.xyz, c._xyz(other)))
 
     def __neg__(self) -> "CurvePoint":
-        return CurvePoint._make(self.curve, self.curve.neg_xyz(self.xyz))
+        c = self.curve
+        return CurvePoint._make(c, canonical_triple(*c.neg_xyz(self.xyz), c.modulus))
 
     def __sub__(self, other: "CurvePoint") -> "CurvePoint":
         c = self.curve

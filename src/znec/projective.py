@@ -2,11 +2,13 @@
 
 A point is a primitive coordinate triple (X : Y : Z) up to unit scaling.
 Two triples name the same point exactly when their canonical forms are
-equal: over Z/p^eZ scale the last unit coordinate in the priority order
+equal: over Z/p^eZ scale the first unit coordinate in the priority order
 Z, Y, X to 1 (so affine points become (X : Y : 1) and points over
 infinity become (X : 1 : Z) with p | X, p | Z); over composite N
 canonicalize each prime-power component and glue back with CRT, as a sum
 weighted by the idempotents Modulus precomputes (no gcd or inverse).
+canonical_triple is the only code that scales a triple: the group law
+returns raw triples and leaves the one inverse per prime to it.
 """
 
 from __future__ import annotations
@@ -14,25 +16,6 @@ from __future__ import annotations
 from .errors import NotPrimitive
 # crt_ints is not called here; bench/tracer.py patches znec.projective.crt_ints by name
 from .modring import Modulus, crt_ints, primitivity_gcd
-
-
-def _canonical_prime_power(x: int, y: int, z: int, p: int, pe: int) -> tuple[int, int, int] | None:
-    """The canonical form of (x : y : z) over Z/p^eZ, or None if p divides all three."""
-    if z % p:
-        inv = pow(z, -1, pe)
-        return x * inv % pe, y * inv % pe, 1
-    if y % p:
-        inv = pow(y, -1, pe)
-        return x * inv % pe, 1, z * inv % pe
-    if x % p:
-        inv = pow(x, -1, pe)
-        return 1, y * inv % pe, z * inv % pe
-    return None
-
-
-def _primitive_prime_power(x: int, y: int, z: int, p: int, pe: int) -> tuple[int, int, int] | None:
-    """(x, y, z) unscaled, or None if p divides all three: _canonical_prime_power without the inverse."""
-    return (x, y, z) if x % p or y % p or z % p else None
 
 
 def canonical_triple(x: int, y: int, z: int, modulus: Modulus) -> tuple[int, int, int]:
@@ -43,11 +26,18 @@ def canonical_triple(x: int, y: int, z: int, modulus: Modulus) -> tuple[int, int
     """
     parts = []
     for p, _, pe in modulus.components():
-        part = _canonical_prime_power(x, y, z, p, pe)
-        if part is None:
+        if z % p:
+            inv = pow(z, -1, pe)
+            parts.append((x * inv % pe, y * inv % pe, 1))
+        elif y % p:
+            inv = pow(y, -1, pe)
+            parts.append((x * inv % pe, 1, z * inv % pe))
+        elif x % p:
+            inv = pow(x, -1, pe)
+            parts.append((1, y * inv % pe, z * inv % pe))
+        else:
             raise NotPrimitive(modulus.n, primitivity_gcd((x, y, z), modulus))
-        parts.append(part)
-    return _crt_triple(parts, modulus)
+    return parts[0] if len(parts) == 1 else _crt_triple(parts, modulus)  # p^e = N: no glue
 
 
 def _crt_triple(parts, modulus: Modulus) -> tuple[int, int, int]:

@@ -374,7 +374,7 @@ def classify(c: Curve) -> GroupStructure:
         prime_to_p = tuple(d // p if d % p == 0 else d for d in shape)
         prime_to_p = tuple(d for d in prime_to_p if d > 1)
         if q % p == 0:
-            case = anomalous_type(comp) if e >= 2 else CYCLIC
+            case = anomalous_type(comp)
             if case == CYCLIC:
                 factors = prime_to_p + (pe,)
             else:

@@ -309,24 +309,29 @@ def test_scalar_xyz_matches_a_canonical_ladder_on_the_160_bit_curve():
 
 
 def test_scalar_xyz_inverts_once_per_prime(monkeypatch):
-    import znec.curve
+    import znec.projective
 
     inverted = []
-    canonical = znec.curve._canonical_prime_power
 
-    def counted(x, y, z, p, pe):
-        part = canonical(x, y, z, p, pe)
-        if part is not None:  # None means p divides all three: nothing was inverted
-            inverted.append(p)
-        return part
+    def counted(base, exp, mod):
+        inverted.append(mod)
+        return pow(base, exp, mod)
 
-    monkeypatch.setattr(znec.curve, "_canonical_prime_power", counted)
+    # canonical_triple is the only code that inverts (tests/test_scaling_path.py)
+    monkeypatch.setattr(znec.projective, "pow", counted, raising=False)
     for c, P in ((new_curve(DLP160_A, DLP160_B, DLP160_P, factorization=((DLP160_P, 1),)), DLP160_BASE),
                  (new_curve(1, 6, 221), (3, 6, 1))):
+        once = sorted(pe for _, _, pe in c.modulus.components())
         for k in (2, 3, 2**64 + 1, -(2**64 + 1)):
             inverted.clear()
             c.scalar_xyz(k, P)
-            assert sorted(inverted) == [p for p, _, _ in c.modulus.components()], (c, k)
+            assert sorted(inverted) == once, (c, k)
+        point = c.point(*P)
+        other = 3 * point
+        for name, op in (("P - Q", lambda: point - other), ("-P", lambda: -other)):
+            inverted.clear()
+            op()
+            assert sorted(inverted) == once, (c, name)
 
 
 def test_point_order_and_lift_point_reject_wrong_types():

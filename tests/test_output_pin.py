@@ -1,12 +1,19 @@
-"""A SHA-256 pin on scalar_xyz outputs: a speedup must not change one byte.
+"""SHA-256 pins on scalar_xyz and add_xyz outputs: a refactor must not change one byte.
 
-The sample is generated here from a fixed seed: 300 curves over N with
-3-5 primes below 200 and exponents up to 3, each with a non-canonical
-representative of an affine point and a signed 64-bit scalar, then ten
-160-bit scalars on the bundled anomalous curve over F_p and over Z/p^2.
-The digest was recorded from the code before scalar multiplication kept
-its running sum in raw coordinates; any change to an output triple, to
-its canonical form or to the sample itself changes it.
+The scalar_xyz sample is generated here from a fixed seed: 300 curves
+over N with 3-5 primes below 200 and exponents up to 3, each with a
+non-canonical representative of an affine point and a signed 64-bit
+scalar, then ten 160-bit scalars on the bundled anomalous curve over F_p
+and over Z/p^2.  Its digest was recorded from the code before scalar
+multiplication kept its running sum in raw coordinates.
+
+The add_xyz sample is every pair of seven multiples of a point (O, a
+non-canonical P, 2P ... 6P) on 200 seeded curves over N with 1-4 primes
+below 200 and exponents up to 2, added both canonically and raw.  Its
+digest was recorded from the code before the per-prime law choice and
+the scaling were split between add_xyz and canonical_triple.  Any change
+to an output triple, to its canonical form or to a sample changes a
+digest.
 """
 
 import hashlib
@@ -16,14 +23,15 @@ from znec.curve import _hensel_lift, new_curve
 from znec.reference import DLP160_A, DLP160_B, DLP160_BASE, DLP160_P
 
 PRIMES = [p for p in range(5, 200) if all(p % d for d in range(2, p))]
-DIGEST = "237a51803e0a55b1822a3eb72df6fd82c7a512f44ce3b8857ebf2e5a29c0170b"
+ADD_DIGEST = "87f088c03ee1f8d10c574cfcf670f8ad849ab02b4f54f822a44bd597a97529bc"
+SCALAR_DIGEST = "237a51803e0a55b1822a3eb72df6fd82c7a512f44ce3b8857ebf2e5a29c0170b"
 
 
-def _composite_sample(rng, count):
+def _composite_sample(rng, count, primes=(3, 5), exponents=3):
     """(curve, triple, k) with the triple a unit multiple of an affine point on the curve."""
     sample = []
     while len(sample) < count:
-        fac = [(p, rng.randint(1, 3)) for p in rng.sample(PRIMES, rng.randint(3, 5))]
+        fac = [(p, rng.randint(1, exponents)) for p in rng.sample(PRIMES, rng.randint(*primes))]
         n = 1
         for p, e in fac:
             n *= p**e
@@ -51,4 +59,22 @@ def test_scalar_xyz_outputs_match_the_recorded_digest():
     h = hashlib.sha256()
     for c, xyz, k in _composite_sample(rng, 300) + _dlp160_sample(rng, 10):
         h.update(repr((c.n, c.a, c.b, xyz, k, c.scalar_xyz(k, xyz))).encode())
-    assert h.hexdigest() == DIGEST
+    assert h.hexdigest() == SCALAR_DIGEST
+
+
+def test_add_xyz_outputs_match_the_recorded_digest():
+    rng = random.Random(20202)
+    h = hashlib.sha256()
+    mixed = 0  # pairs whose S is primitive mod one prime of N and not mod another
+    for c, xyz, _ in _composite_sample(rng, 200, primes=(1, 4), exponents=2):
+        multiples = [c.scalar_xyz(k, xyz) for k in range(7)]
+        multiples[1] = xyz
+        for P in multiples:
+            for Q in multiples:
+                for canonical in (True, False):
+                    h.update(repr((c.n, c.a, c.b, P, Q, c.add_xyz(P, Q, canonical=canonical))).encode())
+                if P != Q:
+                    s = c._law_s(c._law_products(P, Q))
+                    mixed += len({any(v % p for v in s) for p, _, _ in c.modulus.components()}) == 2
+    assert mixed
+    assert h.hexdigest() == ADD_DIGEST
