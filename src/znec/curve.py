@@ -3,15 +3,26 @@
 The curve is the short Weierstrass model Y^2 Z = X^3 + A X Z^2 + B Z^3 in
 P^2(Z/NZ), with gcd(6, N) = 1 and the discriminant -(4A^3 + 27B^2) a unit.
 Addition evaluates two bidegree-(2,2) polynomial triples S and T that
-together cover all input pairs.  Over each Z/p^eZ whichever output is
-primitive mod p represents the sum, so the law is chosen prime by prime
-(S where it is primitive, else T) and the raw sum is S + eps_T (T - S),
-eps_T the sum of the CRT idempotents of the primes that take T.  Each law
-is evaluated only when needed: S vanishes on a doubling, T is read where S
-is not.  Scaling to canonical form is left to projective.canonical_triple,
-which a scalar multiplication calls once, after its last addition.
-There is no case split on the inputs, so points over infinity (Z not a
-unit) are handled by the same formulas as affine ones.
+together cover all input pairs.  T is the complete law of Renes, Costello
+and Batina (Eurocrypt 2016, eprint 2015/1060, Alg. 1) and S shares its
+intermediates.  With xy+ = X1 Y2 + X2 Y1, xy- = X1 Y2 - X2 Y1, and xz+-,
+yz+- formed the same way,
+    u = A xz+ + 3B Z1 Z2,  w = 3 X1 X2 + A Z1 Z2,  m = Y1 Y2 - u,
+    v = 3B xz+ + A (X1 X2 - A Z1 Z2),
+    S = (xy- yz+ + xz- m,  -(xy- w + yz- m),  xz- w - yz- yz+),
+    T = (xy+ m - yz+ v,  m (Y1 Y2 + u) + w v,  yz+ (Y1 Y2 + u) + xy+ w).
+A doubling reads the six squares and cross products of one triple
+(RCB Alg. 3) instead of the nine general products.
+
+Over each Z/p^eZ whichever output is primitive mod p represents the sum,
+so the law is chosen prime by prime (S where it is primitive, else T) and
+the raw sum is S + eps_T (T - S), eps_T the sum of the CRT idempotents of
+the primes that take T.  Each law is evaluated only when needed: S
+vanishes on a doubling, T is read where S is not.  Scaling to canonical
+form is left to projective.canonical_triple, which a scalar
+multiplication calls once, after its last addition.  There is no case
+split on the inputs, so points over infinity (Z not a unit) are handled
+by the same formulas as affine ones.
 """
 
 from __future__ import annotations
@@ -98,7 +109,7 @@ def _hensel_lift(a: int, b: int, x: int, y: int, p: int, e: int) -> tuple[int, i
 class Curve:
     """E_{A,B}(Z/NZ) together with the constants the group law reuses."""
 
-    __slots__ = ("modulus", "n", "a", "b", "_b3", "_aa", "_t2k")
+    __slots__ = ("modulus", "n", "a", "b", "_b3")
 
     def __init__(self, a: int, b: int, modulus: Modulus):
         n = modulus.n
@@ -115,8 +126,6 @@ class Curve:
         self.a = a
         self.b = b
         self._b3 = 3 * b % n
-        self._aa = a * a % n
-        self._t2k = (a * a * a + 9 * b * b) % n
 
     # --- basic structure ------------------------------------------------
 
@@ -155,72 +164,42 @@ class Curve:
     # --- the two addition laws -------------------------------------------
 
     def _law_products(self, p1: tuple[int, int, int], p2: tuple[int, int, int]):
-        """The pairwise coordinate products that both laws read."""
+        """xy+-, xz+-, yz+-, X1 X2, Y1 Y2, A Z1 Z2, u, w and m, which both laws read.
+
+        On the diagonal p1 == p2 the six squares and cross products of one
+        triple replace the nine general products (RCB Alg. 3); the tuple is
+        the same as the general one, with every difference 0.  w and m are
+        left unreduced, as every law output is reduced mod N.
+        """
         n = self.n
         x1, y1, z1 = p1
-        x2, y2, z2 = p2
-        x1z2 = x1 * z2 % n
-        x2z1 = x2 * z1 % n
-        y1z2 = y1 * z2 % n
-        y2z1 = y2 * z1 % n
-        return (
-            x1 * x2 % n, y1 * y2 % n, z1 * z2 % n, x1 * y2 % n, x2 * y1 % n,
-            x1z2, x2z1, y1z2, y2z1, (x1z2 + x2z1) % n, (y1z2 + y2z1) % n,
-        )
+        if p1 == p2:
+            xx, yy, zz = x1 * x1 % n, y1 * y1 % n, z1 * z1 % n
+            xy_p, xz_p, yz_p = 2 * x1 * y1 % n, 2 * x1 * z1 % n, 2 * y1 * z1 % n
+            xy_m = xz_m = yz_m = 0
+        else:
+            x2, y2, z2 = p2
+            xx, yy, zz = x1 * x2 % n, y1 * y2 % n, z1 * z2 % n
+            xy, yx, xz, zx, yz, zy = x1 * y2, x2 * y1, x1 * z2, x2 * z1, y1 * z2, y2 * z1
+            xy_p, xy_m = (xy + yx) % n, (xy - yx) % n
+            xz_p, xz_m = (xz + zx) % n, (xz - zx) % n
+            yz_p, yz_m = (yz + zy) % n, (yz - zy) % n
+        az = self.a * zz % n
+        u = (self.a * xz_p + self._b3 * zz) % n
+        return xy_p, xy_m, xz_p, xz_m, yz_p, yz_m, xx, yy, az, u, 3 * xx + az, yy - u
 
     def _law_s(self, products) -> tuple[int, int, int]:
-        """The S triple; it vanishes when both inputs are the same triple."""
-        x1x2, y1y2, z1z2, x1y2, x2y1, x1z2, x2z1, y1z2, y2z1, xz_p, yz_p = products
+        """S from u, w and m; it vanishes when both inputs are the same triple."""
+        xy_p, xy_m, xz_p, xz_m, yz_p, yz_m, _, _, _, _, w, m = products
         n = self.n
-        a = self.a
-        b3 = self._b3
-        xy_m = (x1y2 - x2y1) % n
-        xz_m = (x1z2 - x2z1) % n
-        yz_m = (y1z2 - y2z1) % n
-        s1 = (xy_m * yz_p + xz_m * y1y2 - a * xz_m % n * xz_p - b3 * xz_m % n * z1z2) % n
-        s2 = (
-            -3 * x1x2 * xy_m
-            - y1y2 * yz_m
-            - a * xy_m % n * z1z2
-            + a * yz_m % n * xz_p
-            + b3 * yz_m % n * z1z2
-        ) % n
-        s3 = (3 * x1x2 * xz_m - yz_m * yz_p + a * xz_m % n * z1z2) % n
-        return s1, s2, s3
+        return (xy_m * yz_p + xz_m * m) % n, -(xy_m * w + yz_m * m) % n, (xz_m * w - yz_m * yz_p) % n
 
     def _law_t(self, products) -> tuple[int, int, int]:
-        """The T triple; it represents the sum where S is imprimitive, doublings included."""
-        x1x2, y1y2, z1z2, x1y2, x2y1, x1z2, x2z1, _, _, xz_p, yz_p = products
+        """T (RCB Alg. 1) from u, w, m and v; the sum where S is imprimitive, doublings included."""
+        xy_p, _, xz_p, _, yz_p, _, xx, yy, az, u, w, m = products
         n = self.n
-        a = self.a
-        b3 = self._b3
-        aa = self._aa
-        xy_p = (x1y2 + x2y1) % n
-        t1 = (
-            y1y2 * xy_p
-            - a * x1x2 % n * yz_p
-            - a * xy_p % n * xz_p
-            - b3 * xy_p % n * z1z2
-            - b3 * xz_p % n * yz_p
-            + aa * yz_p % n * z1z2
-        ) % n
-        t2 = (
-            y1y2 * y1y2
-            + 3 * a * x1x2 % n * x1x2
-            + 3 * b3 * x1x2 % n * xz_p
-            - aa * x1z2 % n * (x1z2 + 2 * x2z1)
-            - aa * x2z1 % n * (2 * x1z2 + x2z1)
-            - a * b3 % n * z1z2 % n * xz_p
-            - self._t2k * z1z2 % n * z1z2
-        ) % n
-        t3 = (
-            3 * x1x2 * xy_p
-            + y1y2 * yz_p
-            + a * xy_p % n * z1z2
-            + a * xz_p % n * yz_p
-            + b3 * yz_p % n * z1z2
-        ) % n
-        return t1, t2, t3
+        v = (self._b3 * xz_p + self.a * (xx - az)) % n
+        return (xy_p * m - yz_p * v) % n, (m * (yy + u) + w * v) % n, (yz_p * (yy + u) + xy_p * w) % n
 
     def add_xyz(
         self, p1: tuple[int, int, int], p2: tuple[int, int, int], *, canonical: bool = True

@@ -16,10 +16,12 @@ from functools import lru_cache
 from . import budgets
 from .errors import BudgetExceeded, NotPrimePower, ZnecError
 
-# Miller-Rabin witnesses: the primes up to 41 are exact below 3.317e24
+# Miller-Rabin witnesses: the primes up to 41 are exact below _MR_EXACT
 # (Sorenson-Webster); without 41 the composite 318665857834031151167461
-# passes.  Above 3.317e24 a strong pseudoprime to all thirteen passes too.
+# passes.  _MR_EXACT itself, 1287836182261 * 2575672364521, passes all
+# thirteen, so from there on is_prime runs Baillie-PSW instead.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3317044064679887385961981
 
 
 @lru_cache(maxsize=1)
@@ -35,7 +37,11 @@ def _small_primes() -> tuple[int, ...]:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed witness set (deterministic below 3.317e24)."""
+    """Miller-Rabin to the bases up to 41 below _MR_EXACT, where they are exact.
+
+    From _MR_EXACT on: Baillie-PSW, a strong test to base 2 and a strong
+    Lucas test (Baillie-Wagstaff 1980), which no composite is known to pass.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -46,7 +52,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES if n < _MR_EXACT else (2,):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -56,7 +62,57 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_EXACT or (math.isqrt(n) ** 2 != n and _strong_lucas(n))
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters.
+
+    n must be odd, not a square and above 41.  D is the first of 5, -7,
+    9, -11, ... with (D/n) = -1, P = 1 and Q = (1 - D)/4; with
+    n + 1 = k 2^s, k odd, a prime n has U_k = 0 or V_(k 2^j) = 0 mod n
+    for some j < s.
+    """
+    disc = 5
+    while (j := _jacobi(disc, n)) != -1:
+        if j == 0 and abs(disc) != n:
+            return False
+        disc = -disc - 2 if disc > 0 else 2 - disc
+    q = (1 - disc) // 4
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+    u, v, qk = 1, 1, q % n  # U_1, V_1 and Q^1
+    for bit in bin(k)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":  # (U, V)_(i+1) = ((U + V) / 2, (D U + V) / 2) when P = 1
+            u, v = u + v, disc * u + v
+            u, v = (u + n * (u % 2)) // 2 % n, (v + n * (v % 2)) // 2 % n
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def _introot(n: int, k: int) -> int:
@@ -119,7 +175,7 @@ def _pollard_rho(n: int) -> int:
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Factor n >= 2 into sorted (prime, exponent) pairs.
 
-    Trial division by the sieve primes, then Miller-Rabin plus Pollard rho
+    Trial division by the sieve primes, then is_prime and Pollard rho
     on whatever is left, within the rho budget.  Practical up to ~2^64
     cofactors; larger moduli should arrive with their factorization known.
 

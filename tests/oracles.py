@@ -153,3 +153,64 @@ def crt_pairs(pairs):
         x += m * ((r - x) * pow(m, -1, n) % n)
         m *= n
     return x % m, m
+
+
+def _law_terms(n, P, Q):
+    (x1, y1, z1), (x2, y2, z2) = P, Q
+    x1z2, x2z1, y1z2, y2z1 = x1 * z2 % n, x2 * z1 % n, y1 * z2 % n, y2 * z1 % n
+    return (
+        x1 * x2 % n, y1 * y2 % n, z1 * z2 % n, x1 * y2 % n, x2 * y1 % n,
+        x1z2, x2z1, y1z2, y2z1, (x1z2 + x2z1) % n, (y1z2 + y2z1) % n,
+    )
+
+
+def expanded_law_s(a, b, n, P, Q):
+    """The S triple of the bidegree-(2,2) addition law, monomial by monomial."""
+    x1x2, y1y2, z1z2, x1y2, x2y1, x1z2, x2z1, y1z2, y2z1, xz_p, yz_p = _law_terms(n, P, Q)
+    b3 = 3 * b % n
+    xy_m = (x1y2 - x2y1) % n
+    xz_m = (x1z2 - x2z1) % n
+    yz_m = (y1z2 - y2z1) % n
+    s1 = (xy_m * yz_p + xz_m * y1y2 - a * xz_m % n * xz_p - b3 * xz_m % n * z1z2) % n
+    s2 = (
+        -3 * x1x2 * xy_m
+        - y1y2 * yz_m
+        - a * xy_m % n * z1z2
+        + a * yz_m % n * xz_p
+        + b3 * yz_m % n * z1z2
+    ) % n
+    s3 = (3 * x1x2 * xz_m - yz_m * yz_p + a * xz_m % n * z1z2) % n
+    return s1, s2, s3
+
+
+def expanded_law_t(a, b, n, P, Q):
+    """The T triple of the bidegree-(2,2) addition law, monomial by monomial."""
+    x1x2, y1y2, z1z2, x1y2, x2y1, x1z2, x2z1, _, _, xz_p, yz_p = _law_terms(n, P, Q)
+    b3 = 3 * b % n
+    aa = a * a % n
+    xy_p = (x1y2 + x2y1) % n
+    t1 = (
+        y1y2 * xy_p
+        - a * x1x2 % n * yz_p
+        - a * xy_p % n * xz_p
+        - b3 * xy_p % n * z1z2
+        - b3 * xz_p % n * yz_p
+        + aa * yz_p % n * z1z2
+    ) % n
+    t2 = (
+        y1y2 * y1y2
+        + 3 * a * x1x2 % n * x1x2
+        + 3 * b3 * x1x2 % n * xz_p
+        - aa * x1z2 % n * (x1z2 + 2 * x2z1)
+        - aa * x2z1 % n * (2 * x1z2 + x2z1)
+        - a * b3 % n * z1z2 % n * xz_p
+        - (a * a * a + 9 * b * b) % n * z1z2 % n * z1z2
+    ) % n
+    t3 = (
+        3 * x1x2 * xy_p
+        + y1y2 * yz_p
+        + a * xy_p % n * z1z2
+        + a * xz_p % n * yz_p
+        + b3 * yz_p % n * z1z2
+    ) % n
+    return t1, t2, t3

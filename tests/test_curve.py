@@ -19,7 +19,15 @@ from znec.projective import canonical_triple
 from znec.reference import DLP160_A, DLP160_B, DLP160_BASE, DLP160_P
 from znec.structure import phi_map
 from enumeration import enumerate_points
-from oracles import affine_add, affine_scalar, crt_pairs, field_points, projective_points
+from oracles import (
+    affine_add,
+    affine_scalar,
+    crt_pairs,
+    expanded_law_s,
+    expanded_law_t,
+    field_points,
+    projective_points,
+)
 
 rng = random.Random(0x5EED)
 
@@ -188,6 +196,28 @@ def test_mixed_pairs_choose_the_law_per_prime():
         for p in (13, 17):
             want = affine_add(a, b, p, _to_affine(tuple(v % p for v in P)), _to_affine(tuple(v % p for v in Q)))
             assert _to_affine(tuple(v % p for v in R)) == want, (P, Q)
+
+
+@pytest.mark.parametrize(
+    "n,factorization",
+    [(221, None), (169, None), (25025, None), (DLP160_P, ((DLP160_P, 1),)), (DLP160_P**2, ((DLP160_P, 2),))],
+    ids=["221", "169", "25025", "p160", "p160^2"],
+)
+def test_laws_equal_the_expanded_polynomials(n, factorization):
+    # any triples, on the curve or not: S and T are polynomial identities mod N;
+    # a quarter of the pairs are diagonal, where _law_products takes its own branch
+    local = random.Random(n)
+    while True:
+        a, b = local.randrange(n), local.randrange(n)
+        if math.gcd(4 * a**3 + 27 * b * b, n) == 1:
+            break
+    c = new_curve(a, b, n, factorization)
+    for i in range(1200):
+        P = tuple(local.randrange(n) for _ in range(3))
+        Q = P if i % 4 == 0 else tuple(local.randrange(n) for _ in range(3))
+        products = c._law_products(P, Q)
+        assert c._law_s(products) == expanded_law_s(a, b, n, P, Q), (P, Q)
+        assert c._law_t(products) == expanded_law_t(a, b, n, P, Q), (P, Q)
 
 
 def test_laws_are_evaluated_only_when_needed(monkeypatch):

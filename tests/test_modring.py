@@ -7,8 +7,10 @@ from znec.curve import new_curve
 from znec.errors import NotPrimePower, ZnecError
 from znec.modring import (
     Modulus,
+    _MR_EXACT,
     _introot,
     _perfect_power,
+    _strong_lucas,
     crt_ints,
     factorize,
     is_prime,
@@ -90,6 +92,8 @@ def test_is_prime_and_factorize_agree_with_sympy():
     ]
     # strong pseudoprimes to many small bases, with and without all twelve
     cases += [3215031751, 3825123056546413051, 318665857834031151167461]
+    # the least strong pseudoprime to all thirteen bases, where Baillie-PSW takes over
+    cases += [_MR_EXACT, _MR_EXACT - 2, sympy.nextprime(_MR_EXACT), sympy.prevprime(_MR_EXACT)]
     # prime powers, and semiprimes with two 31-bit factors near 2^62
     cases += [q**k for q in (3, 101, 65537, primes31[0]) for k in (2, 3, 5)]
     cases += [primes31[i] * primes31[i + 1] for i in range(0, 6, 2)]
@@ -97,6 +101,28 @@ def test_is_prime_and_factorize_agree_with_sympy():
     for n in cases:
         assert is_prime(n) == sympy.isprime(n), n
         assert factorize(n) == tuple(sorted(sympy.factorint(n).items())), n
+
+
+def test_baillie_psw_rejects_the_pseudoprimes_of_each_half():
+    # 1287836182261 * 2575672364521 passes the strong test to every base up to
+    # 41, so base 2 alone lets it through; the Lucas half must reject it
+    assert _MR_EXACT == 1287836182261 * 2575672364521
+    assert not is_prime(_MR_EXACT)
+    assert not is_prime(_MR_EXACT * 1000003)
+    assert is_prime(2**89 - 1)
+    # the least strong Lucas pseudoprimes (OEIS A217255) pass the Lucas half,
+    # so is_prime must not rest on it alone
+    for n in (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519):
+        assert _strong_lucas(n), n
+        assert not is_prime(n), n
+    assert not any(_strong_lucas(n) for n in (45, 91, 1105, 2047, 3277, 4033))
+
+
+def test_strong_lucas_agrees_with_sympy():
+    primetest = pytest.importorskip("sympy.ntheory.primetest")
+    for n in range(43, 30000, 2):
+        if math.isqrt(n) ** 2 != n:
+            assert _strong_lucas(n) == primetest.is_strong_lucas_prp(n), n
 
 
 def test_factorize_big_prime_square_is_fast():
