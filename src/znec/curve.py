@@ -20,7 +20,8 @@ the raw sum is S + eps_T (T - S), eps_T the sum of the CRT idempotents of
 the primes that take T.  Each law is evaluated only when needed: S
 vanishes on a doubling, T is read where S is not.  Scaling to canonical
 form is left to projective.canonical_triple, which a scalar
-multiplication calls once, after its last addition.  There is no case
+multiplication (double-and-add below 24 bits, a width-4 or width-5 NAF
+from there on) calls once, after its last addition.  There is no case
 split on the inputs, so points over infinity (Z not a unit) are handled
 by the same formulas as affine ones.
 """
@@ -49,6 +50,8 @@ class _AdditionCounter:
 
 
 ADDITIONS = _AdditionCounter()
+_WNAF_MIN_BITS = 24  # scalar_xyz's NAF ladder from here; below, it saves < 3 additions a call
+_WNAF_W5_BITS = 106  # its width is 5 from here, 4 below: where their mean additions cross
 
 
 def _non_residue(p: int) -> int:
@@ -216,7 +219,7 @@ class Curve:
         s = None if p1 == p2 else self._law_s(products)
         t = None
         eps_t = 0  # the idempotents of the primes that take T, summed
-        for (p, _, _), eps in zip(self.modulus.components(), self.modulus.idempotents):
+        for p, eps in self.modulus.prime_idempotents:
             if s is not None and (s[0] % p or s[1] % p or s[2] % p):
                 continue
             if t is None:
@@ -238,16 +241,39 @@ class Curve:
         return p[0], -p[1] % self.n, p[2]
 
     def scalar_xyz(self, k: int, p: tuple[int, int, int]) -> tuple[int, int, int]:
-        """k p by raw double-and-add from p, canonical after the last addition; k < 0 uses -p."""
+        """k p from raw additions, canonical after the last one; k < 0 uses -p.
+
+        Double-and-add below _WNAF_MIN_BITS bits.  From there on a width-w
+        NAF (Hankerson-Menezes-Vanstone, Alg. 3.35) over the raw odd multiples
+        d p, 0 < d < 2^(w-1), and their negations; w = 5 from _WNAF_W5_BITS
+        bits, else 4.  Mean additions (binary, w = 4, w = 5): 27.0, 25.3, 28.1
+        at 19 bits; 34.5, 31.2, 34.0 at 24; 238.5, 194.4, 192.6 at 160.
+        """
         if k < 0:
             k, p = -k, self.neg_xyz(p)
         if k == 0:
             return (0, 1, 0)
-        acc = p
-        for bit in bin(k)[3:]:
+        if k.bit_length() < _WNAF_MIN_BITS:
+            acc = p
+            for bit in bin(k)[3:]:
+                acc = self.add_xyz(acc, acc, canonical=False)
+                if bit == "1":
+                    acc = self.add_xyz(acc, p, canonical=False)
+            return canonical_triple(*acc, self.modulus)
+        half = 8 if k.bit_length() < _WNAF_W5_BITS else 16  # 2^(w-1)
+        digits = []  # k = sum of digits[i] 2^i, each 0 or odd in (-half, half)
+        while k:
+            digits.append((k + half) % (2 * half) - half if k & 1 else 0)
+            k = (k - digits[-1]) >> 1
+        table, twice = [p], self.add_xyz(p, p, canonical=False)
+        while len(table) < half // 2:  # table[d >> 1] = d p for odd d
+            table.append(self.add_xyz(table[-1], twice, canonical=False))
+        table += [self.neg_xyz(q) for q in reversed(table)]
+        acc = table[digits.pop() >> 1]
+        for d in reversed(digits):
             acc = self.add_xyz(acc, acc, canonical=False)
-            if bit == "1":
-                acc = self.add_xyz(acc, p, canonical=False)
+            if d:
+                acc = self.add_xyz(acc, table[d >> 1], canonical=False)
         return canonical_triple(*acc, self.modulus)
 
     def _xyz(self, p: "CurvePoint") -> tuple[int, int, int]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import Curve, CurvePoint, _hensel_lift, new_curve
+from .curve import Curve, CurvePoint, _hensel_lift
 from .errors import (
     LiftRetryExhausted,
     NotAnomalous,
@@ -123,9 +123,9 @@ def solve_anomalous_dlp(instance: DlpInstance) -> int:
     c = instance.curve
     p = instance.p
     base, tgt = instance.base, instance.target
-    a, b = c.a, c.b
+    a, b, mod_p2 = c.a, c.b, c.modulus.lifted(2)  # p was proved prime with c.modulus
     for a2, b2 in ((a, b), (a, b + p), (a + p, b)):
-        lifted = new_curve(a2, b2, p * p, factorization=((p, 2),))
+        lifted = Curve(a2, b2, mod_p2)
         theta_p = theta(lifted, lift_point(c, base, lifted))
         if theta_p == 0:
             continue  # split lift: Theta vanishes identically

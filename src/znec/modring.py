@@ -213,13 +213,13 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 class Modulus:
     """A modulus N >= 2 together with its factorization.
 
-    The factorization may be supplied explicitly (mandatory in practice
-    for N beyond trial-division scale, e.g. p^2 for a 160-bit p); it must
-    list distinct primes with exponents >= 1 and multiply to N.  Each
-    component's CRT idempotent (1 mod its p^e, 0 mod the others) is precomputed.
+    The factorization may be supplied explicitly (mandatory in practice for N
+    beyond trial-division scale, e.g. p^2 for a 160-bit p); it must list
+    distinct primes with exponents >= 1 and multiply to N.  Each component's
+    CRT idempotent (1 mod its p^e, 0 mod the rest) is precomputed, also with p.
     """
 
-    __slots__ = ("n", "factorization", "_components", "idempotents")
+    __slots__ = ("n", "factorization", "_components", "idempotents", "prime_idempotents")
 
     def __init__(self, n: int, factorization: tuple[tuple[int, int], ...] | None = None):
         if n < 2:
@@ -236,14 +236,26 @@ class Modulus:
                     )
             if math.prod(p**e for p, e in factorization) != n:
                 raise ZnecError(f"factorization {factorization} does not multiply to {n}")
+        self._fill(n, factorization)
+
+    def _fill(self, n: int, factorization: tuple[tuple[int, int], ...]) -> "Modulus":
         self.n = n
         self.factorization = factorization
         self._components = tuple((p, e, p**e) for p, e in factorization)
         self.idempotents = tuple(n // pe * pow(n // pe, -1, pe) % n for _, _, pe in self._components)
+        self.prime_idempotents = tuple((p, eps) for (p, _), eps in zip(factorization, self.idempotents))
+        return self
 
     @classmethod
     def prime_power(cls, p: int, e: int) -> "Modulus":
         return cls(p**e, ((p, e),))
+
+    def lifted(self, e: int) -> "Modulus":
+        """p^e for this modulus p^k, reusing the p it proved prime instead of testing p again."""
+        p = self.as_prime_power()[0]
+        if e < 1:
+            raise ZnecError(f"exponent must be at least 1: {e}")
+        return object.__new__(Modulus)._fill(p**e, ((p, e),))
 
     def components(self) -> tuple[tuple[int, int, int], ...]:
         """(p, e, p^e) for each prime-power component."""

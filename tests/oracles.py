@@ -144,6 +144,44 @@ def field_group_invariants(a, b, p):
     return invariant_factors_from_orders(orders)
 
 
+def width_naf(k, w):
+    """The width-w NAF of k > 0, least significant digit first (Guide to ECC, Alg. 3.35).
+
+    Every nonzero digit is odd and below 2^(w-1) in absolute value, and
+    sum(d 2^i) = k.
+    """
+    digits = []
+    while k >= 1:
+        d = 0
+        if k % 2 == 1:
+            d = k % 2**w
+            if d >= 2 ** (w - 1):
+                d -= 2**w
+            k -= d
+        digits.append(d)
+        k //= 2
+    return digits
+
+
+def ladder_additions(k, naf_from_bits, width5_from_bits):
+    """Additions (doublings included) of a scalar ladder on k > 0.
+
+    Below naf_from_bits bits: left-to-right double-and-add, L - 1
+    doublings and popcount - 1 additions.  From there on a width-w NAF
+    (w = 5 from width5_from_bits bits, else 4) over the odd multiples up
+    to (2^(w-1) - 1) P: 2P and 2^(w-2) - 1 additions build them, then one
+    doubling per digit below the top one and one addition per nonzero
+    digit below the top one.
+    """
+    bits = k.bit_length()
+    if bits < naf_from_bits:
+        return bits - 1 + bin(k).count("1") - 1
+    w = 5 if bits >= width5_from_bits else 4
+    digits = width_naf(k, w)
+    assert sum(d * 2**i for i, d in enumerate(digits)) == k
+    return 2 ** (w - 2) + len(digits) - 1 + sum(1 for d in digits if d) - 1
+
+
 def crt_pairs(pairs):
     """CRT for [(residue, modulus), ...] with pairwise coprime moduli."""
     x, m = 0, 1

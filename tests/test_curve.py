@@ -26,6 +26,7 @@ from oracles import (
     expanded_law_s,
     expanded_law_t,
     field_points,
+    ladder_additions,
     projective_points,
 )
 
@@ -275,13 +276,28 @@ def test_scalar_xyz_matches_repeated_addition(a, b, n):
             assert c.scalar_xyz(k, P) == _repeated_addition(c, k, P), (P, k)
 
 
+# the ladder's switches: binary below NAF_FROM_BITS bits, width 5 from WIDTH5_FROM_BITS
+NAF_FROM_BITS, WIDTH5_FROM_BITS = 24, 106
+
+
+def _at_bits(local, bits):
+    return local.getrandbits(bits - 1) | 1 << (bits - 1)
+
+
 def test_scalar_xyz_addition_count():
     c = new_curve(7, 3, 169)
     P = (0, 61, 1)
-    for k in list(range(1, 70)) + [2**20, 2**20 - 1, 10**12 + 39]:
+    local = random.Random(64160)
+    ks = list(range(1, 70)) + [2**20, 2**20 - 1, 10**12 + 39]
+    ks += [2**23 - 1, 2**23, 2**24 - 1, 2**105 + 1, 2**106 - 1, 2**106 + 1, DLP160_P]
+    ks += [_at_bits(local, bits) for bits in (23, 24, 32, 64, 64, 64, 105, 106, 160, 160, 160)]
+    for k in ks:
         ADDITIONS.reset()
         c.scalar_xyz(k, P)
-        assert ADDITIONS.value == k.bit_length() - 1 + bin(k).count("1") - 1, k
+        want = ladder_additions(k, NAF_FROM_BITS, WIDTH5_FROM_BITS)
+        if k.bit_length() < NAF_FROM_BITS:
+            assert want == k.bit_length() - 1 + bin(k).count("1") - 1, k
+        assert ADDITIONS.value == want, k
 
 
 def _unit_multiple(c, P, local):
@@ -330,12 +346,53 @@ def test_scalar_xyz_matches_a_canonical_ladder_on_the_160_bit_curve():
     lifted = new_curve(DLP160_A, DLP160_B, p * p, factorization=((p, 2),))
     base = fp.point(*DLP160_BASE)
     local = random.Random(160)
-    ks = [0, 1, 2, 3, -1, -2, -5, p, p - 1, -p] + [local.getrandbits(160) for _ in range(3)]
+    ks = [0, 1, 2, 3, -1, -2, -5, p, p - 1, -p, 3 * p, (2**40 + 1) * p] + [local.getrandbits(160) for _ in range(3)]
     ks.append(-local.getrandbits(160))
+    ks += [sign * _at_bits(local, bits) for bits in (23, 24, 105, 106) for sign in (1, -1)]
     for c, P in ((fp, base.xyz), (lifted, lift_point(fp, base, lifted).xyz)):
         for Q in (P, _unit_multiple(c, P, local)):
             for k in ks:
                 assert c.scalar_xyz(k, Q) == _canonical_ladder(c, k, Q), (c, Q, k)
+
+
+@pytest.mark.parametrize("a,b,n", [(1, 6, 221), (1, 1, 175), (7, 3, 169)])
+def test_scalar_xyz_ladder_edges_on_small_orders(a, b, n, monkeypatch):
+    # every point has small order here, so long scalars wrap many times:
+    # partial sums hit O and equal +-(a table entry) under another raw
+    # triple, where S vanishes and T must serve.  221 = 13 * 17 and 175 =
+    # 5^2 * 7 mix S and T; 175 and 169 = 13^2 have points over infinity mod p^2.
+    c = new_curve(a, b, n)
+    local = random.Random(n)
+    pts = enumerate_points(c)
+    order = {P.xyz: point_order(P, len(pts)) for P in pts}
+    small = sorted(order, key=order.get)[:8]  # O first
+    over_infinity = [P for P in order if P != (0, 1, 0) and math.gcd(P[2], n) > 1][:2]
+    sample = small + over_infinity + local.sample(sorted(set(order) - set(small)), 4)
+    assert over_infinity
+    # raw ladder additions with O, of two triples of one point, and taking S mod one prime, T mod another
+    seen = {"O": 0, "same point": 0} | ({"mixed": 0} if n != 169 else {})
+    add_xyz = Curve.add_xyz
+
+    def watched(self, p1, p2, canonical=True):
+        if not canonical:
+            q1, q2 = canonical_triple(*p1, c.modulus), canonical_triple(*p2, c.modulus)
+            seen["O"] += (0, 1, 0) in (q1, q2)
+            seen["same point"] += p1 != p2 and q1 == q2
+            if n != 169 and p1 != p2:
+                s = c._law_s(c._law_products(p1, p2))
+                seen["mixed"] += len({any(v % q for v in s) for q, _, _ in c.modulus.components()}) == 2
+        return add_xyz(self, p1, p2, canonical=canonical)
+
+    monkeypatch.setattr(Curve, "add_xyz", watched)
+    lengths = (NAF_FROM_BITS - 1, NAF_FROM_BITS, WIDTH5_FROM_BITS - 1, WIDTH5_FROM_BITS, 160)
+    for P in sample:
+        Q = _unit_multiple(c, P, local)
+        ks = [sign * _at_bits(local, bits) for bits in lengths for sign in (1, -1)]
+        ks += [order[P] * _at_bits(local, bits) for bits in (40, 120)]  # multiples of the order
+        got = [c.scalar_xyz(k, Q) for k in ks]
+        assert got == [_canonical_ladder(c, k, Q) for k in ks], P
+        assert got[-2:] == [(0, 1, 0)] * 2
+    assert all(seen.values()), seen
 
 
 def test_scalar_xyz_inverts_once_per_prime(monkeypatch):

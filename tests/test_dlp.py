@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from znec import dlp
+from znec import dlp, modring
 from znec.curve import ADDITIONS, new_curve
 from znec.errors import (
     LiftRetryExhausted,
@@ -249,3 +249,21 @@ def test_solve_retry_exhausted(monkeypatch):
     monkeypatch.setattr(dlp, "theta", lambda curve, pt: 0)
     with pytest.raises(LiftRetryExhausted):
         dlp.solve_anomalous_dlp(inst)
+
+
+def test_solve_reuses_the_instance_prime(monkeypatch):
+    # p was proved prime when the instance curve was built; every lift's
+    # p^2 modulus reuses that proof instead of running is_prime again
+    c = _curve160()
+    inst = dlp.DlpInstance(c, c.point(PX160, PY160), c.point(QX160, QY160))
+    tested = []
+    is_prime = modring.is_prime
+    monkeypatch.setattr(modring, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    assert dlp.solve_anomalous_dlp(inst) == N160
+    moduli = []
+    monkeypatch.setattr(dlp, "theta", lambda curve, pt: moduli.append(curve.modulus) or 0)
+    with pytest.raises(LiftRetryExhausted):
+        dlp.solve_anomalous_dlp(inst)
+    assert tested == []
+    assert len(moduli) == 3 and all(m is moduli[0] for m in moduli)
+    assert moduli[0].factorization == ((P160, 2),)

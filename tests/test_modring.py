@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from znec import modring
 from znec.curve import new_curve
 from znec.errors import NotPrimePower, ZnecError
 from znec.modring import (
@@ -146,6 +147,22 @@ def test_modulus_validation():
     assert Modulus.prime_power(5, 2).as_prime_power() == (5, 2)
 
 
+def test_lifted_modulus_reuses_the_proven_prime(monkeypatch):
+    p = 2**89 - 1
+    m = Modulus(p, ((p, 1),))
+    wants = {e: Modulus(p**e, ((p, e),)) for e in (1, 2, 5)}
+    bad = ((Modulus(35, ((5, 1), (7, 1))), 2), (Modulus(1225, ((5, 2), (7, 2))), 2), (m, 0), (m, -1))
+    monkeypatch.setattr(modring, "is_prime", lambda n: pytest.fail(f"is_prime({n}) ran again"))
+    for e, want in wants.items():
+        for source in (m, wants[2]):
+            got = source.lifted(e)
+            assert (got.n, got.factorization, got.components()) == (want.n, want.factorization, want.components())
+            assert (got.idempotents, got.prime_idempotents) == ((1,), ((p, 1),))
+    for modulus, e in bad:  # not a prime power, or no exponent >= 1
+        with pytest.raises(ZnecError):
+            modulus.lifted(e)
+
+
 @pytest.mark.parametrize(
     "n, factorization",
     [
@@ -192,6 +209,7 @@ def test_crt_idempotents_glue_like_crt_ints():
         factorization = tuple((q, local.randrange(1, 4)) for q in local.sample(primes, local.randrange(1, 5)))
         m = Modulus(math.prod(q**e for q, e in factorization), factorization)
         pes = [pe for _, _, pe in m.components()]
+        assert m.prime_idempotents == tuple(zip([q for q, _ in m.factorization], m.idempotents))
         for eps, own in zip(m.idempotents, pes):
             assert 0 <= eps < m.n
             assert [eps % pe for pe in pes] == [int(pe == own) for pe in pes]
