@@ -162,7 +162,7 @@ class Curve:
 
     def component(self, p: int, e: int) -> "Curve":
         """The curve mod p^e, for a prime power p^e dividing N."""
-        return self if self.n == p**e else self.reduced(Modulus.prime_power(p, e))
+        return self if self.n == p**e else self.reduced(self.modulus.component(p, e))
 
     # --- the two addition laws -------------------------------------------
 

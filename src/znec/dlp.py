@@ -123,7 +123,7 @@ def solve_anomalous_dlp(instance: DlpInstance) -> int:
     c = instance.curve
     p = instance.p
     base, tgt = instance.base, instance.target
-    a, b, mod_p2 = c.a, c.b, c.modulus.lifted(2)  # p was proved prime with c.modulus
+    a, b, mod_p2 = c.a, c.b, c.modulus.component(p, 2)  # p was proved prime with c.modulus
     for a2, b2 in ((a, b), (a, b + p), (a + p, b)):
         lifted = Curve(a2, b2, mod_p2)
         theta_p = theta(lifted, lift_point(c, base, lifted))

@@ -19,9 +19,13 @@ from .errors import BudgetExceeded, NotPrimePower, ZnecError
 # Miller-Rabin witnesses: the primes up to 41 are exact below _MR_EXACT
 # (Sorenson-Webster); without 41 the composite 318665857834031151167461
 # passes.  _MR_EXACT itself, 1287836182261 * 2575672364521, passes all
-# thirteen, so from there on is_prime runs Baillie-PSW instead.
+# thirteen, so from there on is_prime runs Baillie-PSW instead.  Below
+# each psi_k of _MR_PSI the first k bases are already exact, and psi_k
+# passes them (Jaeschke, Math. Comp. 61, 1993; OEIS A014233).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT = 3317044064679887385961981
+_MR_PSI = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+           (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9), (_MR_EXACT, 13))
 
 
 @lru_cache(maxsize=1)
@@ -37,7 +41,7 @@ def _small_primes() -> tuple[int, ...]:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases up to 41 below _MR_EXACT, where they are exact.
+    """Miller-Rabin below _MR_EXACT, to the first k bases below the least psi_k above n.
 
     From _MR_EXACT on: Baillie-PSW, a strong test to base 2 and a strong
     Lucas test (Baillie-Wagstaff 1980), which no composite is known to pass.
@@ -52,7 +56,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES if n < _MR_EXACT else (2,):
+    for a in _MR_BASES[: next((k for psi, k in _MR_PSI if n < psi), 0)] or (2,):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -250,11 +254,10 @@ class Modulus:
     def prime_power(cls, p: int, e: int) -> "Modulus":
         return cls(p**e, ((p, e),))
 
-    def lifted(self, e: int) -> "Modulus":
-        """p^e for this modulus p^k, reusing the p it proved prime instead of testing p again."""
-        p = self.as_prime_power()[0]
-        if e < 1:
-            raise ZnecError(f"exponent must be at least 1: {e}")
+    def component(self, p: int, e: int) -> "Modulus":
+        """p^e, for a prime p of this factorization and any e >= 1, without testing p again."""
+        if e < 1 or all(p != f for f, _ in self.factorization):
+            raise ZnecError(f"{p}^{e} is not a power of a prime of {self.n} with exponent >= 1")
         return object.__new__(Modulus)._fill(p**e, ((p, e),))
 
     def components(self) -> tuple[tuple[int, int, int], ...]:

@@ -119,6 +119,21 @@ def test_baillie_psw_rejects_the_pseudoprimes_of_each_half():
     assert not any(_strong_lucas(n) for n in (45, 91, 1105, 2047, 3277, 4033))
 
 
+def test_each_jaeschke_bound_needs_its_bases():
+    # psi_k is composite and a strong pseudoprime to the first k bases, so
+    # those bases are exact below psi_k and not at it (OEIS A014233)
+    sympy = pytest.importorskip("sympy")
+    mr = pytest.importorskip("sympy.ntheory.primetest").mr
+    r = random.Random(14)
+    for psi, k in modring._MR_PSI:
+        assert not sympy.isprime(psi) and mr(psi, modring._MR_BASES[:k]), psi
+        assert not is_prime(psi), psi
+        cases = [sympy.prevprime(psi), sympy.nextprime(psi), psi - 2, psi + 2]
+        cases += [r.randrange(lo, hi) | 1 for lo, hi in ((psi // 2, psi), (psi, 2 * psi)) for _ in range(200)]
+        for n in cases:
+            assert is_prime(n) == sympy.isprime(n), n
+
+
 def test_strong_lucas_agrees_with_sympy():
     primetest = pytest.importorskip("sympy.ntheory.primetest")
     for n in range(43, 30000, 2):
@@ -148,19 +163,22 @@ def test_modulus_validation():
 
 
 def test_lifted_modulus_reuses_the_proven_prime(monkeypatch):
+    # Modulus.component builds p^e for a prime p of its own factorization,
+    # at any exponent, from the proof it already holds
     p = 2**89 - 1
     m = Modulus(p, ((p, 1),))
-    wants = {e: Modulus(p**e, ((p, e),)) for e in (1, 2, 5)}
-    bad = ((Modulus(35, ((5, 1), (7, 1))), 2), (Modulus(1225, ((5, 2), (7, 2))), 2), (m, 0), (m, -1))
+    mixed = Modulus(5 * 49 * p, ((5, 1), (7, 2), (p, 1)))
+    wants = {(q, e): Modulus(q**e, ((q, e),)) for q, e in ((p, 1), (p, 2), (p, 5), (7, 1), (7, 3), (5, 2))}
+    bad = ((m, 3, 1), (mixed, 11, 1), (mixed, 35, 1), (mixed, 1, 1), (m, p, 0), (mixed, 7, -1))
     monkeypatch.setattr(modring, "is_prime", lambda n: pytest.fail(f"is_prime({n}) ran again"))
-    for e, want in wants.items():
-        for source in (m, wants[2]):
-            got = source.lifted(e)
+    for (q, e), want in wants.items():
+        for source in (m, wants[(p, 2)], mixed) if q == p else (mixed,):
+            got = source.component(q, e)
             assert (got.n, got.factorization, got.components()) == (want.n, want.factorization, want.components())
-            assert (got.idempotents, got.prime_idempotents) == ((1,), ((p, 1),))
-    for modulus, e in bad:  # not a prime power, or no exponent >= 1
+            assert (got.idempotents, got.prime_idempotents) == ((1,), ((q, 1),))
+    for modulus, q, e in bad:  # not a prime of the modulus, or no exponent >= 1
         with pytest.raises(ZnecError):
-            modulus.lifted(e)
+            modulus.component(q, e)
 
 
 @pytest.mark.parametrize(

@@ -235,6 +235,61 @@ def test_field_structure_without_certificate_fails(monkeypatch):
         group_structure_fp(new_curve(0, 15, 157))
 
 
+def _open_primes(p, q):
+    """The l that the gcd bound leaves open: l^2 | q, l | p - 1 and l | t - 2."""
+    t = p + 1 - q
+    return [l for l, k in factorize(q) if k > 1 and (p - 1) % l == 0 and (t - 2) % l == 0]
+
+
+@pytest.mark.parametrize(
+    "a, b, p, shape, additions",
+    [
+        (0, 2681, 10303, (102, 102), 97),  # l = 2, 3, 17 open; 122 when every draw took its full order
+        (9120, 2181, 13627, (6906, 2), 40),  # l = 2 open; 124 when every draw took its full order
+    ],
+)
+def test_field_structure_additions_are_pinned(a, b, p, shape, additions):
+    # the l-primary certificate multiplies each draw by q / l^a and then by l
+    c = new_curve(a, b, p)
+    count_points_fp(c)
+    ADDITIONS.reset()
+    assert group_structure_fp(c).shape == shape
+    assert ADDITIONS.reset() == additions
+
+
+def test_field_structure_matches_brute_force_where_two_primes_are_open():
+    # every curve over F_p, 30 < p < 60, whose l-primary certificate has
+    # two or more l to prove
+    curves = 0
+    for p in (31, 37, 41, 43, 47, 53, 59):
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b**2) % p == 0:
+                    continue
+                c = new_curve(a, b, p)
+                if len(_open_primes(p, count_points_fp(c))) < 2:
+                    continue
+                n1, n2 = group_structure_fp(c).shape
+                assert tuple(d for d in (n2, n1) if d > 1) == brute_force_structure(c).factors, (a, b, p)
+                curves += 1
+    assert curves == 327
+
+
+@pytest.mark.parametrize("a, b, p", [(0, 2681, 10303), (9120, 2181, 13627), (0, 15, 157), (0, 11, 31)])
+def test_field_structure_rejects_a_wrong_count(monkeypatch, a, b, p):
+    # every wrong q in the Hasse interval that leaves some l open must fail
+    # a check of the certificate; none may come back as a shape
+    c = new_curve(a, b, p)
+    q = count_points_fp(c)
+    w = math.isqrt(4 * p)
+    wrong = [m for m in range(p + 1 - w, p + 2 + w) if m != q and _open_primes(p, m)]
+    assert len(wrong) >= 6
+    for m in wrong:
+        monkeypatch.setattr(structure, "count_points_fp", lambda _, m=m: m)
+        with pytest.raises(ZnecError):
+            group_structure_fp(c)
+
+
 def test_anomalous_type_fixtures():
     assert anomalous_type(new_curve(7, 3, 169)) == CYCLIC
     assert anomalous_type(new_curve(1, 6, 169)) == SPLIT
