@@ -1,17 +1,17 @@
 """Group structure of E(Z/NZ): counting, classification, explicit maps.
 
-|E(F_p)| is counted exactly, by a Legendre-symbol sum for small p and by
-Shanks-Mestre baby-step giant-step on E and its quadratic twist above a
-measured crossover, and its shape Z/n1 + Z/n2 is proved one l-primary
-part at a time, by Weil pairings of the l-parts of points drawn from an
-RNG seeded by the curve, for the l that gcd bounds leave open.  The group
+|E(F_p)| is counted exactly, by a Legendre-symbol sum for small p and,
+above a measured crossover, by Shanks-Mestre: the only m in the Hasse
+interval with m P = O for every P drawn on E, and (2p + 2 - m) P = O on
+its quadratic twist.  Its shape Z/n1 + Z/n2 is proved one l-primary part
+at a time, by Weil pairings of the l-parts of points drawn from an RNG
+seeded by the curve, for the l that gcd bounds leave open.  The group
 splits over the prime-power components of N.  For a component p^e the
 fiber count gives |E(Z/p^eZ)| = p^(e-1) |E(F_p)|, and the structure is
-E(F_p) + Z/p^(e-1)Z except when |E(F_p)| = p (the anomalous case),
-where the component is either cyclic Z/p^eZ or F_p + Z/p^(e-1)Z; which
-of the two happens is decided by lifting one point and checking its
-order.  classify() assembles the local pieces into an invariant factor
-chain.
+E(F_p) + Z/p^(e-1)Z except when |E(F_p)| = p (the anomalous case), where
+the component is either cyclic Z/p^eZ or F_p + Z/p^(e-1)Z; which of the
+two happens is decided by lifting one point and checking its order.
+classify() assembles the local pieces into an invariant factor chain.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import budgets
-from .curve import Curve, CurvePoint, _fp_root, _hensel_lift, _non_residue, point_order
+from .curve import Curve, CurvePoint, _fp_root, _hensel_lift, _non_residue
 from .errors import BudgetExceeded, NotAnomalous, NotPrimePower, SelfCheckFailed, ZnecError
 from .modring import Modulus, factorize, is_prime, vp_int
 
@@ -105,26 +105,22 @@ def invariant_factors(prime_powers) -> tuple[int, ...]:
     >>> invariant_factors([11, 13, 13, 11, 7])
     (143, 1001)
     """
-    per_prime: dict[int, list[int]] = {}
-    for pp in prime_powers:
-        if pp == 1:
-            continue
-        factors = factorize(pp)
+    factored = [(pp, factorize(pp)) for pp in prime_powers if pp != 1]
+    for pp, factors in factored:
         if len(factors) != 1:
             raise NotPrimePower(f"elementary divisor {pp} is not a prime power")
-        (q, k), = factors
+    return _chain(pair for _, (pair,) in factored)
+
+
+def _chain(pairs) -> tuple[int, ...]:
+    """The invariant factor chain of the sum of the Z/q^k, one (q, k) pair each."""
+    per_prime: dict[int, list[int]] = {}
+    for q, k in pairs:
         per_prime.setdefault(q, []).append(k)
     for exps in per_prime.values():
         exps.sort(reverse=True)
     depth = max((len(v) for v in per_prime.values()), default=0)
-    chain = []
-    for j in range(depth):
-        d = 1
-        for q, exps in per_prime.items():
-            if j < len(exps):
-                d *= q ** exps[j]
-        chain.append(d)
-    return tuple(reversed(chain))
+    return tuple(math.prod(q ** e[j] for q, e in per_prime.items() if j < len(e)) for j in reversed(range(depth)))
 
 
 @lru_cache(maxsize=64)
@@ -148,63 +144,66 @@ def _legendre_count(a: int, b: int, p: int) -> int:
     return count
 
 
-def _candidates(p: int, lam_e: int, lam_t: int) -> range:
-    """The m in the Hasse interval with lam_e | m and lam_t | 2p + 2 - m, by CRT."""
-    w = math.isqrt(4 * p)
-    lo, hi = p + 1 - w, p + 1 + w
-    g = math.gcd(lam_e, lam_t)
-    r = (2 * p + 2) % lam_t
-    if r % g:
-        return range(0)
-    k = r // g * pow(lam_e // g, -1, lam_t // g)
-    step = lam_e // g * lam_t
-    return range(lo + (lam_e * k - lo) % step, hi + 1, step)
+def _bsgs(c: Curve, g: tuple[int, int, int], target: tuple[int, int, int], count: int) -> range:
+    """Every k < count with k g = target, as a range k0 + d Z cut to [0, count), d the order of g.
 
-
-def _bsgs(c: Curve, g: tuple[int, int, int], target: tuple[int, int, int], count: int) -> int | None:
-    """The least k < count with k g = target, by baby steps j g and giant steps target - i g."""
-    s = math.isqrt(count - 1) + 1
-    baby: dict[tuple[int, int, int], int] = {}
-    acc = (0, 1, 0)
-    for j in range(s):
-        baby.setdefault(acc, j)
-        acc = c.add_xyz(acc, g)
-    stride = c.neg_xyz(acc)
-    for i in range(0, count, s):
-        j = baby.get(target)
-        if j is not None and i + j < count:
-            return i + j
-        target = c.add_xyz(target, stride)
-    return None
+    Baby steps j g, 0 <= j <= s, are keyed by (X, Z) and keep Y, so one
+    giant step target - i (2s + 1) g matches k = i (2s + 1) +- j (Shanks).
+    A repeated baby key gives d <= 2s + 1, and one lookup of target the
+    matches; otherwise the first two hits give d, and a single hit over
+    the whole range is the only match.
+    """
+    s = math.isqrt(count // 2) + 1
+    baby: dict[tuple[int, int], tuple[int, int]] = {}  # (X, Z) of j g -> (j, Y)
+    prev, acc = None, (0, 1, 0)
+    for j in range(s + 2):  # (s + 1) g only tests for a repeat and builds the stride
+        if j:
+            prev, acc = acc, c.add_xyz(acc, g) if j > 1 else g
+        if (seen := baby.get((acc[0], acc[2]))) is not None:  # j g = +-j' g, so d = j -+ j'
+            d = j - seen[0] if seen[1] == acc[1] else j + seen[0]
+            if (hit := baby.get((target[0], target[2]))) is None:
+                return range(0)
+            return range((hit[0] if hit[1] == target[1] else -hit[0]) % d, count, d)
+        if j <= s:
+            baby[acc[0], acc[2]] = j, acc[1]
+    stride = c.neg_xyz(c.add_xyz(prev, acc))  # -(2s + 1) g
+    hits = []
+    for i in range(0, count + s, 2 * s + 1):
+        if i:
+            target = c.add_xyz(target, stride)
+        if (hit := baby.get((target[0], target[2]))) is not None:
+            hits.append(i + hit[0] if hit[1] == target[1] else i - hit[0])
+            if len(hits) == 2:  # two successive matches
+                return range(hits[0] % (d := hits[1] - hits[0]), count, d)
+    return range(hits[0], hits[0] + 1) if hits and 0 <= hits[0] < count else range(0)
 
 
 def _count_shanks_mestre(a: int, b: int, p: int) -> int:
-    """|E(F_p)| for p > 229 from point orders on E and on its twist E' by a non-residue.
+    """|E(F_p)| for p > 229: the only candidate m with m P = O for every drawn P.
 
-    Points are drawn alternately on E and E' from an RNG seeded by the
-    curve; BSGS over the remaining candidates finds each one's order.
-    The count is proved once one m is left with lam_E | m and
-    lam_T | |E'| = 2p + 2 - m (Mestre; Schoof 1995 for p > 229).
+    Points are drawn alternately on E and on its twist E' by a non-residue,
+    from an RNG seeded by the curve; on E' a candidate m asks (2p + 2 - m) P = O.
+    The candidates start as the Hasse interval and stay a range that each
+    draw cuts to its BSGS matches.  One left is proved (Mestre; Schoof 1995
+    for p > 229).
     """
     rng = random.Random(f"{a} {b} {p}")
     fp = Modulus.prime_power(p, 1)
     sides = [Curve(a * u * u, b * u * u * u, fp) for u in (1, _non_residue(p))]
-    lam = [1, 1]
-    for draw in range(_DRAWS + 1):
-        cands = _candidates(p, *lam)
-        if len(cands) == 1:
-            return cands[0]
-        if not cands or draw == _DRAWS:
-            break
+    w = math.isqrt(4 * p)
+    cands = range(p + 1 - w, p + 2 + w)
+    for draw in range(_DRAWS):
         side, c = draw % 2, sides[draw % 2]
         pt = _random_point(c, p, rng)
         # on the twist the candidates m count down as 2p + 2 - m
         n0, step = (cands[0], cands.step) if side == 0 else (2 * p + 2 - cands[0], -cands.step)
-        k = _bsgs(c, c.scalar_xyz(step, pt), c.scalar_xyz(-n0, pt), len(cands))
-        if k is None:
+        ks = _bsgs(c, c.scalar_xyz(step, pt), c.scalar_xyz(-n0, pt), len(cands))
+        cands = cands[ks.start : ks.stop : ks.step]
+        if len(cands) == 1:
+            return cands[0]
+        if not cands:
             break
-        lam[side] = math.lcm(lam[side], point_order(CurvePoint._make(c, pt), n0 + k * step))
-    raise SelfCheckFailed(f"Shanks-Mestre could not pin |E_{{{a},{b}}}(F_{p})| (lcms {lam[0]}, {lam[1]})")
+    raise SelfCheckFailed(f"Shanks-Mestre could not pin |E_{{{a},{b}}}(F_{p})|: candidates left {list(cands)}")
 
 
 @lru_cache(maxsize=4096)
@@ -384,7 +383,7 @@ def classify(c: Curve) -> GroupStructure:
     (13, 13)
     """
     locals_: list[LocalStructure] = []
-    pool: list[int] = []
+    pool: list[tuple[int, int]] = []  # (l, k) per cyclic factor Z/l^k
     for p, e, pe in c.modulus.components():
         comp = c.component(p, e)
         field = group_structure_fp(comp.component(p, 1))
@@ -405,9 +404,8 @@ def classify(c: Curve) -> GroupStructure:
                 factors += (kernel_order,)
         locals_.append(LocalStructure(p, e, case, q, factors))
         for d in factors:
-            for l, k in factorize(d):
-                pool.append(l**k)
-    return GroupStructure(c.n, invariant_factors(pool), tuple(locals_))
+            pool += factorize(d)
+    return GroupStructure(c.n, _chain(pool), tuple(locals_))
 
 
 def phi_map(c: Curve, point: CurvePoint) -> tuple[CurvePoint, int]:

@@ -8,6 +8,7 @@ around those pairs via CRT instead.
 """
 
 import math
+import random
 from itertools import product
 
 # identity of the affine law is None
@@ -142,6 +143,41 @@ def field_group_invariants(a, b, p):
     add = lambda P, Q: affine_add(a, b, p, P, Q)
     orders = [element_order(add, None, g, bound) for g in pts]
     return invariant_factors_from_orders(orders)
+
+
+def shanks_mestre_by_orders(a, b, p, draws=40):
+    """(|E(F_p)|, draws made) by Mestre's rule on point orders; (None, draws made) when it fails.
+
+    lam_E and lam_T are the lcms of the orders of the points drawn on E
+    and on its twist by the least non-residue u, and the count is proved
+    once a single m in the Hasse interval has lam_E | m and
+    lam_T | 2p + 2 - m.  The points are the ones structure._random_point
+    draws from Random(f"{a} {b} {p}"), alternately on E and the twist, up
+    to the sign of y, which no order sees; orders come from repeated
+    addition.
+    """
+    rng = random.Random(f"{a} {b} {p}")
+    u = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    sides = ((a % p, b % p), (a * u * u % p, b * u**3 % p))
+    w = math.isqrt(4 * p)
+    lam = [1, 1]
+    for draw in range(draws + 1):
+        cands = [m for m in range(p + 1 - w, p + 2 + w) if m % lam[0] == 0 and (2 * p + 2 - m) % lam[1] == 0]
+        if len(cands) == 1:
+            return cands[0], draw
+        if not cands or draw == draws:
+            return None, draw
+        ca, cb = sides[draw % 2]
+        while True:
+            x = rng.randrange(p)
+            r = (x**3 + ca * x + cb) % p
+            if r == 0 or pow(r, (p - 1) // 2, p) == 1:
+                break
+        y = next(y for y in range(p) if y * y % p == r)
+        if y:
+            rng.random()  # the sign of y
+        add = lambda P, Q: affine_add(ca, cb, p, P, Q)
+        lam[draw % 2] = math.lcm(lam[draw % 2], element_order(add, None, (x, y), p + 2 + w))
 
 
 def width_naf(k, w):

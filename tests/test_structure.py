@@ -12,6 +12,8 @@ from znec.structure import (
     CYCLIC,
     NON_ANOMALOUS,
     SPLIT,
+    _bsgs,
+    _count_cost,
     _count_shanks_mestre,
     _legendre_count,
     anomalous_type,
@@ -23,7 +25,7 @@ from znec.structure import (
     phi_map,
 )
 from enumeration import brute_force_structure, enumerate_points
-from oracles import count_fp, field_group_invariants
+from oracles import affine_add, count_fp, field_group_invariants, field_points, shanks_mestre_by_orders
 
 rng = random.Random(0xABE1)
 
@@ -135,6 +137,13 @@ def test_shanks_mestre_twist_decides_full_torsion():
     assert _count_shanks_mestre(0, 14, p) == _legendre_count(0, 14, p) == 289
 
 
+def test_shanks_mestre_out_of_draws_names_the_candidates_left(monkeypatch):
+    # one draw on E_{0,14}(F_307) leaves the four multiples of its exponent 17
+    monkeypatch.setattr(structure, "_DRAWS", 1)
+    with pytest.raises(SelfCheckFailed, match=r"candidates left \[289, 306, 323, 340\]$"):
+        _count_shanks_mestre(0, 14, 307)
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(st.sampled_from([q for q in range(230, 20001) if is_prime(q)]), st.integers(0, 2**32), st.integers(0, 2**32))
 def test_shanks_mestre_property(p, a, b):
@@ -152,7 +161,80 @@ def test_count_above_crossover_repeats_its_additions():
         ADDITIONS.reset()
         count_points_fp(new_curve(5, 8, 100003))
         spent.append(ADDITIONS.reset())
-    assert spent[0] == spent[1] > 0
+    # the count by lcms of point orders, a point_order call after each BSGS match, took 111
+    assert spent[0] == spent[1] == 72
+
+
+def test_shanks_mestre_keeps_the_count_and_draws_of_the_order_rule(monkeypatch):
+    # the kept candidates are those the lcm rule allows, so every count
+    # takes exactly as many draws as the rule does
+    drawn = []
+    draw = structure._random_point
+    monkeypatch.setattr(structure, "_random_point", lambda c, p, rng: drawn.append(p) or draw(c, p, rng))
+    r = random.Random(0x0DD5)
+    curves = []
+    for p in (q for q in range(231, 2000) if is_prime(q)):
+        for _ in range(3):
+            while True:
+                a, b = r.randrange(p), r.randrange(p)
+                if (4 * a**3 + 27 * b**2) % p:
+                    break
+            curves.append((a, b, p))
+    for p in (233, 239, 241):
+        sweep = {(0, b) for b in range(p)} | {(a, b) for a in range(p) for b in (0, 1, 2)}
+        curves += [(a, b, p) for a, b in sorted(sweep) if (4 * a**3 + 27 * b**2) % p]
+    for a, b, p in curves:
+        drawn.clear()
+        assert (_count_shanks_mestre(a, b, p), len(drawn)) == shanks_mestre_by_orders(a, b, p), (a, b, p)
+
+
+def test_bsgs_finds_every_match():
+    # every pair (g, target) of points on four small curves, against the
+    # list of k < count with k g = target, over counts on both sides of
+    # the baby-step bound s = isqrt(count // 2) + 1
+    cases = set()
+    for a, b, p in ((12, 0, 13), (1, 1, 19), (2, 3, 23), (3, 4, 31)):
+        c = new_curve(a, b, p)
+        pts = field_points(a, b, p)
+        xyz = {pt: (0, 1, 0) if pt is None else c.point(*pt).xyz for pt in pts}
+        for g in pts:
+            multiples = [None]  # multiples[k] = k g, up to the order of g
+            while multiples[-1] is not None or len(multiples) == 1:
+                multiples.append(affine_add(a, b, p, multiples[-1], g))
+            order = len(multiples) - 1
+            for t in pts:
+                for count in (1, 2, 3, 4, 5, 8, 13, 21, 34, 55, 89):
+                    want = [k for k in range(count) if multiples[k % order] == t]
+                    assert list(_bsgs(c, xyz[g], xyz[t], count)) == want, (a, b, p, g, t, count)
+                    s = math.isqrt(count // 2) + 1
+                    kind = "d < s" if order < s else "d <= 2s+1" if order <= 2 * s + 1 else "d > 2s+1"
+                    cases.add("g = O" if g is None else kind)
+                    cases.add("t = O" if t is None else "Y = 0" if t[1] == 0 else "t affine")
+                    cases.add(("count < 4" if count < 4 else "count >= 4", min(len(want), 2)))
+    assert cases == {
+        "g = O", "d < s", "d <= 2s+1", "d > 2s+1", "t = O", "Y = 0", "t affine",
+        *((small, m) for small in ("count < 4", "count >= 4") for m in (0, 1, 2)),
+    }
+
+
+def test_bsgs_steps_stay_within_the_count_cost(monkeypatch):
+    # _count_cost charges each draw 2 (isqrt(2 isqrt(4p)) + 1) steps; one
+    # draw's BSGS must not spend more
+    spent = []
+    bsgs = structure._bsgs
+
+    def counted(*args):
+        before = ADDITIONS.value
+        out = bsgs(*args)
+        spent.append(ADDITIONS.value - before)
+        return out
+
+    monkeypatch.setattr(structure, "_bsgs", counted)
+    for p in (2003, 100003, 10**9 + 7, 2**40 - 87):
+        for a, b in ((5, 8), (2, 7), (0, 1)):
+            spent.clear()
+            _count_shanks_mestre(a, b, p)
+            assert 0 < max(spent) <= _count_cost(p) // structure._DRAWS, (a, b, p, spent)
 
 
 def test_is_anomalous():
