@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from . import budgets
+from . import budgets, reference
 from .curve import new_curve
 from .dlp import DlpInstance, solve_anomalous_dlp
 from .errors import SelfCheckFailed, ZnecError
@@ -107,10 +107,8 @@ def _cmd_f_poly(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .reference import verify_all
-
     failures = 0
-    for label, ok, detail in verify_all():
+    for label, ok, detail in reference.verify_all():
         print(f"{'PASS' if ok else 'FAIL'}  {label}: {detail}")
         failures += not ok
     if failures:

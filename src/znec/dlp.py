@@ -24,7 +24,7 @@ from .errors import (
     ZnecError,
 )
 from .modring import vp_int
-from .structure import count_points_fp
+from .structure import _certified_anomalous
 
 
 def lift_point(c: Curve, point: CurvePoint, target: Curve) -> CurvePoint:
@@ -95,20 +95,6 @@ class DlpInstance:
     @property
     def p(self) -> int:
         return self.curve.modulus.as_prime_power()[0]
-
-
-def _certified_anomalous(c: Curve, base_xyz: tuple[int, int, int]) -> bool:
-    """|E(F_p)| = p, without counting when an order certificate suffices.
-
-    For p >= 7 the Hasse interval lies inside (0, 2p), so a point of
-    order p certifies the count; conversely on an anomalous curve every
-    point satisfies pP = O.  At p = 5 the interval reaches 2p and the
-    certificate is ambiguous (|E| = 10 has order-5 points), so count.
-    """
-    p = c.modulus.as_prime_power()[0]
-    if p >= 7:
-        return c.scalar_xyz(p, base_xyz) == (0, 1, 0)
-    return count_points_fp(c) == p
 
 
 def solve_anomalous_dlp(instance: DlpInstance) -> int:

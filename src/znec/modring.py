@@ -308,10 +308,3 @@ def crt_ints(pairs: list[tuple[int, int]]) -> tuple[int, int]:
         modulus *= m
     return value % modulus, modulus
 
-
-def primitivity_gcd(values, modulus: Modulus) -> int:
-    g = modulus.n
-    for v in values:
-        g = math.gcd(g, v)
-    return g
-

@@ -13,9 +13,11 @@ returns raw triples and leaves the one inverse per prime to it.
 
 from __future__ import annotations
 
+import math
+
 from .errors import NotPrimitive
 # crt_ints is not called here; bench/tracer.py patches znec.projective.crt_ints by name
-from .modring import Modulus, crt_ints, primitivity_gcd
+from .modring import Modulus, crt_ints
 
 
 def canonical_triple(x: int, y: int, z: int, modulus: Modulus) -> tuple[int, int, int]:
@@ -36,7 +38,7 @@ def canonical_triple(x: int, y: int, z: int, modulus: Modulus) -> tuple[int, int
             inv = pow(x, -1, pe)
             parts.append((1, y * inv % pe, z * inv % pe))
         else:
-            raise NotPrimitive(modulus.n, primitivity_gcd((x, y, z), modulus))
+            raise NotPrimitive(modulus.n, math.gcd(modulus.n, x, y, z))
     return parts[0] if len(parts) == 1 else _crt_triple(parts, modulus)  # p^e = N: no glue
 
 

@@ -4,8 +4,9 @@
 above a measured crossover, by Shanks-Mestre: the only m in the Hasse
 interval with m P = O for every P drawn on E, and (2p + 2 - m) P = O on
 its quadratic twist.  Its shape Z/n1 + Z/n2 is proved one l-primary part
-at a time, by Weil pairings of the l-parts of points drawn from an RNG
-seeded by the curve, for the l that gcd bounds leave open.  The group
+at a time, by Weil pairings of the l-parts of drawn points, for the l
+that gcd bounds leave open.  All points come from _draws, seeded by the
+curve; |E(F_p)| = p is certified by one point of order p.  The group
 splits over the prime-power components of N.  For a component p^e the
 fiber count gives |E(Z/p^eZ)| = p^(e-1) |E(F_p)|, and the structure is
 E(F_p) + Z/p^(e-1)Z except when |E(F_p)| = p (the anomalous case), where
@@ -23,16 +24,15 @@ from functools import lru_cache
 
 from . import budgets
 from .curve import Curve, CurvePoint, _fp_root, _hensel_lift, _non_residue
-from .errors import BudgetExceeded, NotAnomalous, NotPrimePower, SelfCheckFailed, ZnecError
-from .modring import Modulus, factorize, is_prime, vp_int
+from .errors import BudgetExceeded, NotAnomalous, SelfCheckFailed, ZnecError
+from .modring import Modulus, factorize, vp_int
 
 NON_ANOMALOUS = "non-anomalous"
 CYCLIC = "cyclic"
 SPLIT = "split"
 
 # _count_fp sums Legendre symbols up to _CROSSOVER, where both methods take
-# about 0.6 ms a count; Shanks-Mestre (p > 229), the shape certificate and
-# anomalous_type each draw _DRAWS points at most
+# about 0.6 ms a count; _draws yields _DRAWS points at most to each caller
 _CROSSOVER = 2000
 _DRAWS = 40
 
@@ -97,19 +97,6 @@ class GroupStructure:
         if self.local is not None:
             out["local"] = [loc.as_json() for loc in self.local]
         return out
-
-
-def invariant_factors(prime_powers) -> tuple[int, ...]:
-    """Reassemble elementary divisors into the invariant factor chain.
-
-    >>> invariant_factors([11, 13, 13, 11, 7])
-    (143, 1001)
-    """
-    factored = [(pp, factorize(pp)) for pp in prime_powers if pp != 1]
-    for pp, factors in factored:
-        if len(factors) != 1:
-            raise NotPrimePower(f"elementary divisor {pp} is not a prime power")
-    return _chain(pair for _, (pair,) in factored)
 
 
 def _chain(pairs) -> tuple[int, ...]:
@@ -181,22 +168,18 @@ def _bsgs(c: Curve, g: tuple[int, int, int], target: tuple[int, int, int], count
 def _count_shanks_mestre(a: int, b: int, p: int) -> int:
     """|E(F_p)| for p > 229: the only candidate m with m P = O for every drawn P.
 
-    Points are drawn alternately on E and on its twist E' by a non-residue,
-    from an RNG seeded by the curve; on E' a candidate m asks (2p + 2 - m) P = O.
-    The candidates start as the Hasse interval and stay a range that each
-    draw cuts to its BSGS matches.  One left is proved (Mestre; Schoof 1995
-    for p > 229).
+    Points are drawn alternately on E and on its twist E' by a non-residue;
+    on E' a candidate m asks (2p + 2 - m) P = O.  The candidates start as
+    the Hasse interval and stay a range that each draw cuts to its BSGS
+    matches.  One left is proved (Mestre; Schoof 1995 for p > 229).
     """
-    rng = random.Random(f"{a} {b} {p}")
     fp = Modulus.prime_power(p, 1)
-    sides = [Curve(a * u * u, b * u * u * u, fp) for u in (1, _non_residue(p))]
+    curve, twist = (Curve(a * u * u, b * u * u * u, fp) for u in (1, _non_residue(p)))
     w = math.isqrt(4 * p)
     cands = range(p + 1 - w, p + 2 + w)
-    for draw in range(_DRAWS):
-        side, c = draw % 2, sides[draw % 2]
-        pt = _random_point(c, p, rng)
+    for c, pt in _draws(curve, twist):
         # on the twist the candidates m count down as 2p + 2 - m
-        n0, step = (cands[0], cands.step) if side == 0 else (2 * p + 2 - cands[0], -cands.step)
+        n0, step = (cands[0], cands.step) if c is curve else (2 * p + 2 - cands[0], -cands.step)
         ks = _bsgs(c, c.scalar_xyz(step, pt), c.scalar_xyz(-n0, pt), len(cands))
         cands = cands[ks.start : ks.stop : ks.step]
         if len(cands) == 1:
@@ -236,14 +219,28 @@ def count_points_fp(c: Curve) -> int:
     return _count_fp(c.a, c.b, p)
 
 
-def _random_point(c: Curve, p: int, rng: random.Random) -> tuple[int, int, int]:
-    while True:
+def _draws(*curves: Curve):
+    """Up to _DRAWS (curve, affine point) pairs over F_p, the curves taken in turn.
+
+    One RNG is seeded by the first curve's reduced (a, b, p), so a curve
+    always draws the same points.  x is uniform until x^3 + a x + b is a
+    square, and a coin picks +-y when y != 0, so O is never drawn and
+    2-torsion is drawn at double weight.  A caller that runs out raises
+    SelfCheckFailed; no measured count needed over 5 draws, and no shape
+    over 21 (55,337 shapes: every curve over F_p, 5 <= p <= 113, and the
+    components of the first 256 seed-0 classify-count ops).
+    """
+    c = curves[0]
+    rng = random.Random(f"{c.a} {c.b} {c.n}")
+    for draw in range(_DRAWS):
+        c = curves[draw % len(curves)]
+        p = c.n
         x = rng.randrange(p)
-        y = _fp_root(c.a, c.b, x, p)
-        if y is not None:
-            if y and rng.random() < 0.5:
-                y = p - y
-            return (x, y, 1)
+        while (y := _fp_root(c.a, c.b, x, p)) is None:
+            x = rng.randrange(p)
+        if y and rng.random() < 0.5:
+            y = p - y
+        yield c, (x, y, 1)
 
 
 def _miller(a: int, p: int, lam: int, pt: tuple[int, int, int], n: int, at: tuple[int, int, int]) -> int:
@@ -280,24 +277,19 @@ def group_structure_fp(c: Curve) -> FieldCurveData:
     order of the Weil pairings e_lam_l(R, S) = (-1)^lam_l f_R(S) / f_S(R)
     against the highest-order l-part S drawn before, divides l^c; so l is
     proved once lam_l * mu_l = l^a.  Every shape returned is proved:
-    running out of the _DRAWS = 40 draws raises SelfCheckFailed instead
-    (the most any of 55,337 measured shapes needed was 21 draws).
+    running out of draws (see _draws) raises SelfCheckFailed instead.
     """
     p = _require_prime(c)
     q = count_points_fp(c)
     t = p + 1 - q
-    if q == 1 or is_prime(q):
-        return FieldCurveData(p, q, t, (q, 1))
-    # l^kmax[l] bounds the l-part of n2
+    # l^kmax[l] bounds the l-part of n2; every bound is 0 when q is prime
     kmax = {l: min(a // 2, vp_int(p - 1, l, a), vp_int(t - 2, l, a)) for l, a in factorize(q)}
     if all(k == 0 for k in kmax.values()):
         return FieldCurveData(p, q, t, (q, 1))
-    rng = random.Random(f"{c.a} {c.b} {p}")
     # per open l: l^a, lam_l, mu_l and an l-part of order lam_l drawn so far
     open_ = {l: (l**a, 1, 1, None) for l, a in factorize(q) if kmax[l]}
     n2 = 1
-    for _ in range(_DRAWS):
-        pt = _random_point(c, p, rng)
+    for _, pt in _draws(c):
         for l, (la, lam, mu, s) in list(open_.items()):
             r = step = c.scalar_xyz(q // la, pt)
             order = 1
@@ -328,10 +320,26 @@ def group_structure_fp(c: Curve) -> FieldCurveData:
     raise SelfCheckFailed(f"no Weil pairing certified the shape of {c!r} in {_DRAWS} draws (lam, mu per open l: {left})")
 
 
-def is_anomalous(c: Curve) -> bool:
-    """True iff |E(F_p)| = p, i.e. the trace of Frobenius is 1."""
+def _certified_anomalous(c: Curve, xyz: tuple[int, int, int]) -> bool:
+    """|E(F_p)| = p, certified by a point xyz != O of E(F_p) for p >= 7 and counted at p = 5.
+
+    For p >= 7 the Hasse interval lies inside (0, 2p), so a point of order
+    p certifies the count, and on an anomalous curve every point has pP = O.
+    At p = 5 the interval reaches 2p, and |E| = 10 has order-5 points too.
+    """
     p = _require_prime(c)
+    if p >= 7:
+        return c.scalar_xyz(p, xyz) == (0, 1, 0)
     return count_points_fp(c) == p
+
+
+def is_anomalous(c: Curve) -> bool:
+    """True iff |E(F_p)| = p (trace 1): p times the first drawn point is O.
+
+    One scalar multiplication at any size of p; over F_5 the points are counted.
+    """
+    _require_prime(c)  # before drawing, which assumes a prime modulus
+    return _certified_anomalous(c, next(_draws(c))[1])
 
 
 def anomalous_type(c: Curve) -> str:
@@ -353,10 +361,8 @@ def anomalous_type(c: Curve) -> str:
         raise NotAnomalous(f"{fp!r} has {q} points, coprime to {p}")
     if e == 1:
         return CYCLIC
-    rng = random.Random(f"{fp.a} {fp.b} {p}")
-    for _ in range(_DRAWS):
-        source = fp.scalar_xyz(q // p, _random_point(fp, p, rng))
-        if source != (0, 1, 0):
+    for _, pt in _draws(fp):
+        if (source := fp.scalar_xyz(q // p, pt)) != (0, 1, 0):
             break
     else:
         raise SelfCheckFailed(f"{_DRAWS} points of {fp!r} all die under the cofactor {q // p}")

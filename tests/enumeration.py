@@ -10,10 +10,11 @@ affine chord-tangent law cannot reach the points over infinity.
 import itertools
 
 from znec.curve import CurvePoint, _fp_root, _hensel_lift
+from znec.errors import NotPrimePower
 from znec.infinity import compute_f, infinity_point, infinity_points
 from znec.modring import factorize, vp_int
 from znec.projective import _crt_triple
-from znec.structure import GroupStructure, invariant_factors
+from znec.structure import GroupStructure, _chain
 
 
 def component_points(cp):
@@ -72,6 +73,19 @@ def _elementary_divisors(comp, triples):
             e_i = sum(1 for s in counts if s > i)
             out.append(l**e_i)
     return out
+
+
+def invariant_factors(prime_powers):
+    """Reassemble elementary divisors into the invariant factor chain.
+
+    >>> invariant_factors([11, 13, 13, 11, 7])
+    (143, 1001)
+    """
+    factored = [(pp, factorize(pp)) for pp in prime_powers if pp != 1]
+    for pp, factors in factored:
+        if len(factors) != 1:
+            raise NotPrimePower(f"elementary divisor {pp} is not a prime power")
+    return _chain(pair for _, (pair,) in factored)
 
 
 def brute_force_structure(c):

@@ -151,7 +151,7 @@ def shanks_mestre_by_orders(a, b, p, draws=40):
     lam_E and lam_T are the lcms of the orders of the points drawn on E
     and on its twist by the least non-residue u, and the count is proved
     once a single m in the Hasse interval has lam_E | m and
-    lam_T | 2p + 2 - m.  The points are the ones structure._random_point
+    lam_T | 2p + 2 - m.  The points are the ones structure._draws
     draws from Random(f"{a} {b} {p}"), alternately on E and the twist, up
     to the sign of y, which no order sees; orders come from repeated
     addition.

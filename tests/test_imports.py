@@ -7,9 +7,7 @@ namespace only; those names are read from ``bench/tracer.py``'s TRACED
 table and exempted, so the list cannot drift from the tracer.
 
 A relative import inside a function hides an import cycle between
-library modules.  The two deliberate ones are the CLI's verify command
-and ``reference.verify_all``, which load the whole library only when the
-bundled values are re-derived.
+library modules; there is none.
 """
 
 import ast
@@ -68,11 +66,8 @@ def test_guard_sees_an_unused_import():
     assert _unused_imports("import math\nfrom .x import a, b\nprint(a)\n") == ["b", "math"]
 
 
-LAZY_IMPORTS = {("cli.py", "_cmd_verify"), ("reference.py", "verify_all")}
-
-
-def _function_imports(source: str, filename: str = "") -> list[str]:
-    """'scope:line' for each relative import inside a function body, outside LAZY_IMPORTS."""
+def _function_imports(source: str) -> list[str]:
+    """'scope:line' for each relative import inside a function body."""
     found = []
 
     def visit(node, scope, in_function):
@@ -81,12 +76,7 @@ def _function_imports(source: str, filename: str = "") -> list[str]:
                 name = f"{scope}.{child.name}" if scope else child.name
                 visit(child, name, in_function or not isinstance(child, ast.ClassDef))
                 continue
-            if (
-                in_function
-                and isinstance(child, ast.ImportFrom)
-                and child.level
-                and (filename, scope) not in LAZY_IMPORTS
-            ):
+            if in_function and isinstance(child, ast.ImportFrom) and child.level:
                 found.append(f"{scope}:{child.lineno}")
             visit(child, scope, in_function)
 
@@ -97,7 +87,7 @@ def _function_imports(source: str, filename: str = "") -> list[str]:
 @pytest.mark.parametrize("filename", MODULES)
 def test_no_function_level_imports(filename):
     with open(os.path.join(SRC, filename)) as fh:
-        assert _function_imports(fh.read(), filename) == []
+        assert _function_imports(fh.read()) == []
 
 
 def test_guard_sees_a_function_level_import():
@@ -107,5 +97,3 @@ def test_guard_sees_a_function_level_import():
         "class K:\n    from . import e\n    def g(self):\n        import os\n        from . import h\n"
     )
     assert _function_imports(source) == ["f:4", "K.g:9"]
-    assert _function_imports("def verify_all():\n    from .x import y\n", "reference.py") == []
-    assert _function_imports("def verify_all():\n    from .x import y\n", "cli.py") == ["verify_all:2"]

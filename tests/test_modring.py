@@ -5,7 +5,7 @@ import pytest
 
 from znec import modring
 from znec.curve import new_curve
-from znec.errors import NotPrimePower, ZnecError
+from znec.errors import NotPrimePower, NotPrimitive, ZnecError
 from znec.modring import (
     Modulus,
     _MR_EXACT,
@@ -15,10 +15,9 @@ from znec.modring import (
     crt_ints,
     factorize,
     is_prime,
-    primitivity_gcd,
     vp_int,
 )
-from znec.projective import _crt_triple
+from znec.projective import _crt_triple, canonical_triple
 from oracles import crt_pairs
 
 rng = random.Random(0xC0FFEE)
@@ -238,6 +237,8 @@ def test_crt_idempotents_glue_like_crt_ints():
 
 def test_primitivity():
     m = Modulus(35)
-    assert primitivity_gcd((5, 15), m) == 5
-    assert primitivity_gcd((0, 0), m) == 35
+    for triple, gcd in (((5, 15, 0), 5), ((0, 0, 0), 35)):
+        with pytest.raises(NotPrimitive) as info:
+            canonical_triple(*triple, m)
+        assert (info.value.modulus, info.value.gcd) == (35, gcd)
 

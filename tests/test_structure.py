@@ -20,11 +20,11 @@ from znec.structure import (
     classify,
     count_points_fp,
     group_structure_fp,
-    invariant_factors,
     is_anomalous,
     phi_map,
 )
-from enumeration import brute_force_structure, enumerate_points
+from znec.reference import DLP160_A, DLP160_B, DLP160_P
+from enumeration import brute_force_structure, enumerate_points, invariant_factors
 from oracles import affine_add, count_fp, field_group_invariants, field_points, shanks_mestre_by_orders
 
 rng = random.Random(0xABE1)
@@ -169,8 +169,14 @@ def test_shanks_mestre_keeps_the_count_and_draws_of_the_order_rule(monkeypatch):
     # the kept candidates are those the lcm rule allows, so every count
     # takes exactly as many draws as the rule does
     drawn = []
-    draw = structure._random_point
-    monkeypatch.setattr(structure, "_random_point", lambda c, p, rng: drawn.append(p) or draw(c, p, rng))
+    draws = structure._draws
+
+    def counted(*curves):
+        for c, pt in draws(*curves):
+            drawn.append(pt)
+            yield c, pt
+
+    monkeypatch.setattr(structure, "_draws", counted)
     r = random.Random(0x0DD5)
     curves = []
     for p in (q for q in range(231, 2000) if is_prime(q)):
@@ -242,6 +248,42 @@ def test_is_anomalous():
     assert is_anomalous(new_curve(1, 6, 13))
     assert not is_anomalous(new_curve(0, 15, 157))
     assert not is_anomalous(new_curve(1, 1, 5))
+
+
+def test_is_anomalous_at_160_bits_without_counting(monkeypatch):
+    # a count over this p is priced at about 1.5e14 steps; one point of order p decides
+    monkeypatch.setenv("ZNEC_BUDGET", "10")
+    assert is_anomalous(new_curve(DLP160_A, DLP160_B, DLP160_P))
+    assert not is_anomalous(new_curve(DLP160_A, DLP160_B + 1, DLP160_P))
+    with pytest.raises(BudgetExceeded):
+        count_points_fp(new_curve(DLP160_A, DLP160_B, DLP160_P))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_is_anomalous_agrees_with_the_count_on_every_curve(p):
+    for a in range(p):
+        for b in range(p):
+            if (4 * a**3 + 27 * b**2) % p:
+                c = new_curve(a, b, p)
+                assert is_anomalous(c) == (count_points_fp(c) == p), (a, b, p)
+
+
+def test_draws_take_the_curves_in_turn():
+    c, t = new_curve(5, 8, 100003), new_curve(2, 7, 100003)
+    pairs = list(structure._draws(c, t))
+    assert [d for d, _ in pairs] == [c, t] * (structure._DRAWS // 2)
+    assert all(d.point(x, y).xyz == (x, y, z) for d, (x, y, z) in pairs)
+
+
+def test_a_curve_draws_the_same_points_after_other_curves_draw():
+    c = new_curve(5, 8, 100003)
+    fresh = list(structure._draws(c))
+    group_structure_fp(new_curve(2, 7, 1009))
+    anomalous_type(new_curve(7, 3, 169))
+    other = structure._draws(new_curve(2, 7, 100003))
+    interleaved = [pt for (_, pt), _ in zip(structure._draws(c), other)]
+    assert len(fresh) == structure._DRAWS
+    assert interleaved == [pt for _, pt in fresh]
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 19, 23])
