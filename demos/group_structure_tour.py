@@ -21,7 +21,7 @@ def main() -> None:
         structure = classify(new_curve(a, b, n))
         name = f"E_{{{a},{b}}}(Z/{n})"
         print(f"{name:45} = {structure.describe():30} # {note}")
-        for loc in structure.local or ():
+        for loc in structure.local:
             parts = " + ".join(f"Z/{d}" for d in loc.factors) or "trivial"
             print(f"{'':8}p = {loc.p}, e = {loc.e}: {loc.case:14} |E(F_p)| = {loc.fp_order:6} local {parts}")
 

@@ -219,7 +219,7 @@ class Curve:
         s = None if p1 == p2 else self._law_s(products)
         t = None
         eps_t = 0  # the idempotents of the primes that take T, summed
-        for p, eps in self.modulus.prime_idempotents:
+        for p, _, eps in self.modulus.parts:
             if s is not None and (s[0] % p or s[1] % p or s[2] % p):
                 continue
             if t is None:

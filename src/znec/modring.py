@@ -219,11 +219,13 @@ class Modulus:
 
     The factorization may be supplied explicitly (mandatory in practice for N
     beyond trial-division scale, e.g. p^2 for a 160-bit p); it must list
-    distinct primes with exponents >= 1 and multiply to N.  Each component's
-    CRT idempotent (1 mod its p^e, 0 mod the rest) is precomputed, also with p.
+    distinct primes with exponents >= 1 and multiply to N.  parts holds one
+    (p, p^e, eps) per prime-power component, in factorization order, eps the
+    CRT idempotent (1 mod its p^e, 0 mod the rest); every reader of the
+    decomposition reads it.
     """
 
-    __slots__ = ("n", "factorization", "_components", "idempotents", "prime_idempotents")
+    __slots__ = ("n", "factorization", "parts")
 
     def __init__(self, n: int, factorization: tuple[tuple[int, int], ...] | None = None):
         if n < 2:
@@ -245,24 +247,28 @@ class Modulus:
     def _fill(self, n: int, factorization: tuple[tuple[int, int], ...]) -> "Modulus":
         self.n = n
         self.factorization = factorization
-        self._components = tuple((p, e, p**e) for p, e in factorization)
-        self.idempotents = tuple(n // pe * pow(n // pe, -1, pe) % n for _, _, pe in self._components)
-        self.prime_idempotents = tuple((p, eps) for (p, _), eps in zip(factorization, self.idempotents))
+        pes = [(p, p**e) for p, e in factorization]
+        self.parts = tuple((p, pe, n // pe * pow(n // pe, -1, pe) % n) for p, pe in pes)
         return self
 
     @classmethod
-    def prime_power(cls, p: int, e: int) -> "Modulus":
-        return cls(p**e, ((p, e),))
+    def _proven(cls, p: int, e: int) -> "Modulus":
+        """p^e for a prime p its caller has already proved, without testing p again.
+
+        The only way past validation.  component() passes a prime of its
+        own factorization.  _count_shanks_mestre passes the p of _count_fp,
+        and every caller of _count_fp passes a proved prime: count_points_fp
+        the curve's checked modulus, rank._curve_of_order_p a q from
+        hasse_primes, and rank._split_curve_mod_p2 a p that rank_bound has
+        already passed to hasse_primes.
+        """
+        return object.__new__(cls)._fill(p**e, ((p, e),))
 
     def component(self, p: int, e: int) -> "Modulus":
         """p^e, for a prime p of this factorization and any e >= 1, without testing p again."""
         if e < 1 or all(p != f for f, _ in self.factorization):
             raise ZnecError(f"{p}^{e} is not a power of a prime of {self.n} with exponent >= 1")
-        return object.__new__(Modulus)._fill(p**e, ((p, e),))
-
-    def components(self) -> tuple[tuple[int, int, int], ...]:
-        """(p, e, p^e) for each prime-power component."""
-        return self._components
+        return Modulus._proven(p, e)
 
     def as_prime_power(self) -> tuple[int, int]:
         if len(self.factorization) != 1:

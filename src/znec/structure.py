@@ -72,7 +72,7 @@ class GroupStructure:
 
     n: int
     factors: tuple[int, ...]
-    local: tuple[LocalStructure, ...] | None = None
+    local: tuple[LocalStructure, ...]
 
     @property
     def order(self) -> int:
@@ -88,15 +88,13 @@ class GroupStructure:
         return " ⊕ ".join(f"Z/{d}" for d in self.factors)
 
     def as_json(self) -> dict:
-        out = {
+        return {
             "n": str(self.n),
             "order": str(self.order),
             "rank": self.rank,
             "factors": [str(d) for d in self.factors],
+            "local": [loc.as_json() for loc in self.local],
         }
-        if self.local is not None:
-            out["local"] = [loc.as_json() for loc in self.local]
-        return out
 
 
 def _chain(pairs) -> tuple[int, ...]:
@@ -173,7 +171,7 @@ def _count_shanks_mestre(a: int, b: int, p: int) -> int:
     the Hasse interval and stay a range that each draw cuts to its BSGS
     matches.  One left is proved (Mestre; Schoof 1995 for p > 229).
     """
-    fp = Modulus.prime_power(p, 1)
+    fp = Modulus._proven(p, 1)
     curve, twist = (Curve(a * u * u, b * u * u * u, fp) for u in (1, _non_residue(p)))
     w = math.isqrt(4 * p)
     cands = range(p + 1 - w, p + 2 + w)
@@ -390,7 +388,7 @@ def classify(c: Curve) -> GroupStructure:
     """
     locals_: list[LocalStructure] = []
     pool: list[tuple[int, int]] = []  # (l, k) per cyclic factor Z/l^k
-    for p, e, pe in c.modulus.components():
+    for p, e in c.modulus.factorization:
         comp = c.component(p, e)
         field = group_structure_fp(comp.component(p, 1))
         q, shape = field.order, field.shape
@@ -400,7 +398,7 @@ def classify(c: Curve) -> GroupStructure:
         if q % p == 0:
             case = anomalous_type(comp)
             if case == CYCLIC:
-                factors = prime_to_p + (pe,)
+                factors = prime_to_p + (p**e,)
             else:
                 factors = prime_to_p + (p, kernel_order)
         else:

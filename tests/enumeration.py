@@ -13,8 +13,8 @@ from znec.curve import CurvePoint, _fp_root, _hensel_lift
 from znec.errors import NotPrimePower
 from znec.infinity import compute_f, infinity_point, infinity_points
 from znec.modring import factorize, vp_int
-from znec.projective import _crt_triple
 from znec.structure import GroupStructure, _chain
+from oracles import crt_pairs
 
 
 def component_points(cp):
@@ -41,8 +41,12 @@ def component_points(cp):
 
 def enumerate_points(c):
     """Every point of E(Z/NZ), canonical and sorted, CRT-glued from components."""
-    comp_points = [component_points(c.component(p, e)) for p, e, _ in c.modulus.components()]
-    triples = sorted(_crt_triple(combo, c.modulus) for combo in itertools.product(*comp_points))
+    moduli = [p**e for p, e in c.modulus.factorization]
+    comp_points = [component_points(c.component(p, e)) for p, e in c.modulus.factorization]
+    triples = sorted(
+        tuple(crt_pairs([(t[i], m) for t, m in zip(combo, moduli)])[0] for i in range(3))
+        for combo in itertools.product(*comp_points)
+    )
     return [CurvePoint._make(c, t) for t in triples]
 
 
@@ -96,10 +100,10 @@ def brute_force_structure(c):
     chain from the resulting elementary divisors.
     """
     pool = []
-    for p, e, _ in c.modulus.components():
+    for p, e in c.modulus.factorization:
         comp = c.component(p, e)
         pool.extend(_elementary_divisors(comp, component_points(comp)))
-    return GroupStructure(c.n, invariant_factors(pool))
+    return GroupStructure(c.n, invariant_factors(pool), local=())
 
 
 def infinity_sum_check(curve, x1, x2):

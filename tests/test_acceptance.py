@@ -221,7 +221,7 @@ def _lex_cyclic_anomalous(p, e):
 
 def _check_maps_exhaustively(c, p, e, with_theta):
     """One pass over all unordered point pairs, checking every map at once."""
-    base = c if e == 1 else c.reduced(Modulus.prime_power(p, 1))
+    base = c if e == 1 else c.reduced(Modulus(p, ((p, 1),)))
     base_pts = [pt.xyz for pt in enumerate_points(base)]
     index = {xyz: i for i, xyz in enumerate(base_pts)}
     base_add = [
@@ -268,7 +268,7 @@ def test_criterion_09_homomorphism_suites():
     t0 = time.perf_counter()
     # commutativity and associativity on CRT-glued samples
     glued = new_curve(167707, 21664, 187187)
-    moduli = [pe for _, _, pe in glued.modulus.components()]
+    moduli = [pe for _, pe, _ in glued.modulus.parts]
     component_points = [
         [pt.xyz for pt in enumerate_points(glued.reduced(Modulus(pe)))] for pe in moduli
     ]

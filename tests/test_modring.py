@@ -17,7 +17,7 @@ from znec.modring import (
     is_prime,
     vp_int,
 )
-from znec.projective import _crt_triple, canonical_triple
+from znec.projective import canonical_triple
 from oracles import crt_pairs
 
 rng = random.Random(0xC0FFEE)
@@ -154,11 +154,11 @@ def test_modulus_validation():
         Modulus(45, ((3, 1), (5, 1)))
     with pytest.raises(ValueError):
         Modulus(0)
-    assert Modulus.prime_power(7, 3).n == 343
-    assert Modulus(45).components() == ((3, 2, 9), (5, 1, 5))
+    assert Modulus(343, ((7, 3),)).parts == ((7, 343, 1),)
+    assert Modulus(45).parts == ((3, 9, 10), (5, 5, 36))  # 10 = 1 mod 9, 0 mod 5; 36 the other way
     with pytest.raises(NotPrimePower):
         Modulus(45).as_prime_power()
-    assert Modulus.prime_power(5, 2).as_prime_power() == (5, 2)
+    assert Modulus(25, ((5, 2),)).as_prime_power() == (5, 2)
 
 
 def test_lifted_modulus_reuses_the_proven_prime(monkeypatch):
@@ -173,8 +173,8 @@ def test_lifted_modulus_reuses_the_proven_prime(monkeypatch):
     for (q, e), want in wants.items():
         for source in (m, wants[(p, 2)], mixed) if q == p else (mixed,):
             got = source.component(q, e)
-            assert (got.n, got.factorization, got.components()) == (want.n, want.factorization, want.components())
-            assert (got.idempotents, got.prime_idempotents) == ((1,), ((q, 1),))
+            assert (got.n, got.factorization, got.parts) == (want.n, want.factorization, want.parts)
+            assert got.parts == ((q, q**e, 1),)
     for modulus, q, e in bad:  # not a prime of the modulus, or no exponent >= 1
         with pytest.raises(ZnecError):
             modulus.component(q, e)
@@ -220,19 +220,40 @@ def test_crt_matches_oracle():
 
 
 def test_crt_idempotents_glue_like_crt_ints():
+    # canonical_triple scales and glues in one pass; it must agree with
+    # canonicalizing each component alone and gluing the results by crt_ints,
+    # also when the chart (Z, else Y, else X) differs from prime to prime
     local = random.Random(0x1DE)
     primes = [5, 7, 11, 13, 17, 19, 23, 10007]
     for _ in range(60):
         factorization = tuple((q, local.randrange(1, 4)) for q in local.sample(primes, local.randrange(1, 5)))
         m = Modulus(math.prod(q**e for q, e in factorization), factorization)
-        pes = [pe for _, _, pe in m.components()]
-        assert m.prime_idempotents == tuple(zip([q for q, _ in m.factorization], m.idempotents))
-        for eps, own in zip(m.idempotents, pes):
+        assert [(q, pe) for q, pe, _ in m.parts] == [(q, q**e) for q, e in m.factorization]
+        pes = [pe for _, pe, _ in m.parts]
+        for _, own, eps in m.parts:
             assert 0 <= eps < m.n
             assert [eps % pe for pe in pes] == [int(pe == own) for pe in pes]
-        parts = [tuple(local.randrange(pe) for _ in range(3)) for pe in pes]
-        want = tuple(crt_ints([(t[i], pe) for t, pe in zip(parts, pes)])[0] for i in range(3))
-        assert _crt_triple(parts, m) == want
+        for _ in range(4):
+            shift = local.randrange(3)
+            wants, coords = [], []
+            for i, (q, e) in enumerate(m.factorization):
+                pe = q**e
+                unit = local.randrange(pe // q) * q + local.randrange(1, q)
+                x, y, z = (local.randrange(pe // q) * q for _ in range(3))
+                chart = (i + shift) % 3  # 0: Z a unit; 1: Z = 0 mod q, Y a unit; 2: only X a unit
+                if chart == 0:
+                    x, y, z = local.randrange(pe), local.randrange(pe), unit
+                elif chart == 1:
+                    x, y = local.randrange(pe), unit
+                else:
+                    x = unit
+                want = canonical_triple(x, y, z, Modulus(pe, ((q, e),)))
+                assert want[2 - chart] == 1
+                wants.append(want)
+                coords.append((x, y, z))
+            triple = (crt_ints([(t[k], pe) for t, pe in zip(coords, pes)])[0] for k in range(3))
+            glued = tuple(crt_ints([(t[k], pe) for t, pe in zip(wants, pes)])[0] for k in range(3))
+            assert canonical_triple(*triple, m) == glued
 
 
 def test_primitivity():

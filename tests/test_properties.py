@@ -96,7 +96,7 @@ def test_group_axioms_on_random_composite_n(data):
     assert c.add_xyz(P, c.neg_xyz(P)) == O
     assert c.add_xyz(P, Q) == c.add_xyz(Q, P)
     assert c.add_xyz(c.add_xyz(P, Q), R) == c.add_xyz(P, c.add_xyz(Q, R))
-    for p, _, _ in c.modulus.components():
+    for p, _, _ in c.modulus.parts:
         for s, (u, v) in ((c.add_xyz(P, Q), (P, Q)), (c.add_xyz(P, P), (P, P))):
             assert _reduce(s, p) == affine_add(c.a % p, c.b % p, p, _reduce(u, p), _reduce(v, p))
 
@@ -122,7 +122,7 @@ def test_canonical_triple_idempotent_and_unit_invariant(data, u):
     assert canonical_triple(*canon, c.modulus) == canon
     assert canonical_triple(*(u * v for v in P), c.modulus) == canon
     # the same point as P: every 2x2 minor of (P, canon) vanishes mod each p^e
-    for _, _, pe in c.modulus.components():
+    for _, pe, _ in c.modulus.parts:
         for i, j in ((0, 1), (0, 2), (1, 2)):
             assert (P[i] * canon[j] - P[j] * canon[i]) % pe == 0
 

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from znec import structure
+from znec import modring, structure
 from znec.curve import ADDITIONS, new_curve
 from znec.errors import BudgetExceeded, NotAnomalous, SelfCheckFailed, ZnecError
 from znec.modring import factorize, is_prime
@@ -163,6 +163,15 @@ def test_count_above_crossover_repeats_its_additions():
         spent.append(ADDITIONS.reset())
     # the count by lcms of point orders, a point_order call after each BSGS match, took 111
     assert spent[0] == spent[1] == 72
+
+
+def test_count_above_crossover_proves_no_prime_again(monkeypatch):
+    # new_curve proved 100003 prime; the Shanks-Mestre count builds F_p on that proof
+    c = new_curve(5, 8, 100003)
+    want = _legendre_count(5, 8, 100003)
+    structure._count_fp.cache_clear()
+    monkeypatch.setattr(modring, "is_prime", lambda n: pytest.fail(f"is_prime({n}) ran again"))
+    assert count_points_fp(c) == want
 
 
 def test_shanks_mestre_keeps_the_count_and_draws_of_the_order_rule(monkeypatch):
