@@ -3,10 +3,12 @@
 |E(F_p)| is counted exactly, by a Legendre-symbol sum for small p and,
 above a measured crossover, by Shanks-Mestre: the only m in the Hasse
 interval with m P = O for every P drawn on E, and (2p + 2 - m) P = O on
-its quadratic twist.  Its shape Z/n1 + Z/n2 is proved one l-primary part
-at a time, by Weil pairings of the l-parts of drawn points, for the l
-that gcd bounds leave open.  All points come from _draws, seeded by the
-curve; |E(F_p)| = p is certified by one point of order p.  The group
+its quadratic twist.  The count takes affine chord-and-tangent steps over
+F_p (_add_fp, None for O), not Curve's projective law.  Its shape
+Z/n1 + Z/n2 is proved one l-primary part at a time, by Weil pairings of
+the l-parts of drawn points, for the l that gcd bounds leave open.  All
+points come from _draws, seeded by the curve; |E(F_p)| = p is certified
+by one point of order p.  The group
 splits over the prime-power components of N.  For a component p^e the
 fiber count gives |E(Z/p^eZ)| = p^(e-1) |E(F_p)|, and the structure is
 E(F_p) + Z/p^(e-1)Z except when |E(F_p)| = p (the anomalous case), where
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import budgets
-from .curve import Curve, CurvePoint, _fp_root, _hensel_lift, _non_residue
+from .curve import ADDITIONS, Curve, CurvePoint, _fp_root, _hensel_lift, _non_residue
 from .errors import BudgetExceeded, NotAnomalous, SelfCheckFailed, ZnecError
 from .modring import Modulus, factorize, vp_int
 
@@ -31,8 +33,12 @@ NON_ANOMALOUS = "non-anomalous"
 CYCLIC = "cyclic"
 SPLIT = "split"
 
-# _count_fp sums Legendre symbols up to _CROSSOVER, where both methods take
-# about 0.6 ms a count; _draws yields _DRAWS points at most to each caller
+# _count_fp sums Legendre symbols up to _CROSSOVER.  Per count, 200 curves per
+# p on one CPU (Python 3.11, shared 2-vCPU Xeon): at p = 2003 the sum takes
+# 0.41 ms and the affine Shanks-Mestre 0.08 ms (0.13 ms with projective steps);
+# they cross near p = 400 (0.07 ms each at p = 401).  Moving the constant
+# changes what _count_cost charges, and so what rank admits under its budget.
+# _draws yields _DRAWS points at most to each caller
 _CROSSOVER = 2000
 _DRAWS = 40
 
@@ -129,35 +135,83 @@ def _legendre_count(a: int, b: int, p: int) -> int:
     return count
 
 
-def _bsgs(c: Curve, g: tuple[int, int, int], target: tuple[int, int, int], count: int) -> range:
-    """Every k < count with k g = target, as a range k0 + d Z cut to [0, count), d the order of g.
+def _slope_sum(a: int, p: int, x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int]:
+    """(m, x3, y3): the slope m through (x1, y1) and (x2, y2) and their sum (x3, y3) on E(F_p).
 
-    Baby steps j g, 0 <= j <= s, are keyed by (X, Z) and keep Y, so one
-    giant step target - i (2s + 1) g matches k = i (2s + 1) +- j (Shanks).
-    A repeated baby key gives d <= 2s + 1, and one lookup of target the
-    matches; otherwise the first two hits give d, and a single hit over
-    the whole range is the only match.
+    The one chord-and-tangent formula over F_p, for y^2 = x^3 + a x + b:
+    the chord when x1 != x2, else the tangent, so the points must be equal
+    with y1 != 0 (the sum is never O here).
+    """
+    if x1 == x2:
+        m = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        m = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (m * m - x1 - x2) % p
+    return m, x3, (m * (x1 - x3) - y1) % p
+
+
+def _add_fp(a: int, p: int, u: tuple[int, int] | None, v: tuple[int, int] | None) -> tuple[int, int] | None:
+    """u + v on E(F_p), points affine (x, y) with None for O; one step, counted in ADDITIONS."""
+    ADDITIONS.value += 1
+    if u is None:
+        return v
+    if v is None:
+        return u
+    if u[0] == v[0] and (u[1] + v[1]) % p == 0:  # v = -u, doublings of 2-torsion included
+        return None
+    return _slope_sum(a, p, *u, *v)[1:]
+
+
+def _mul_fp(a: int, p: int, k: int, pt: tuple[int, int]) -> tuple[int, int] | None:
+    """k pt for an affine pt != O, by binary double-and-add in _add_fp steps; k < 0 uses -pt.
+
+    Below 24 bits it takes as many steps as Curve.scalar_xyz, which runs a NAF from there on.
+    """
+    if k < 0:
+        k, pt = -k, (pt[0], -pt[1] % p)
+    if k == 0:
+        return None
+    acc = pt
+    for bit in bin(k)[3:]:
+        acc = _add_fp(a, p, acc, acc)
+        if bit == "1":
+            acc = _add_fp(a, p, acc, pt)
+    return acc
+
+
+def _bsgs(a: int, p: int, g: tuple[int, int] | None, target: tuple[int, int] | None, count: int) -> range:
+    """Every k < count with k g = target on E(F_p), as a range k0 + d Z cut to [0, count), d the order of g.
+
+    Points are affine, None for O.  Baby steps j g, 0 <= j <= s, are keyed
+    by x (None for O) and keep y, so one giant step target - i (2s + 1) g
+    matches k = i (2s + 1) +- j (Shanks).  A repeated baby key gives
+    d <= 2s + 1, and one lookup of target the matches; otherwise the first
+    two hits give d, and a single hit over the whole range is the only match.
     """
     s = math.isqrt(count // 2) + 1
-    baby: dict[tuple[int, int], tuple[int, int]] = {}  # (X, Z) of j g -> (j, Y)
-    prev, acc = None, (0, 1, 0)
+    baby: dict[int | None, tuple[int, int | None]] = {}  # x of j g -> (j, y)
+    prev, acc = None, None
     for j in range(s + 2):  # (s + 1) g only tests for a repeat and builds the stride
         if j:
-            prev, acc = acc, c.add_xyz(acc, g) if j > 1 else g
-        if (seen := baby.get((acc[0], acc[2]))) is not None:  # j g = +-j' g, so d = j -+ j'
-            d = j - seen[0] if seen[1] == acc[1] else j + seen[0]
-            if (hit := baby.get((target[0], target[2]))) is None:
+            prev, acc = acc, _add_fp(a, p, acc, g) if j > 1 else g
+        x, y = acc or (None, None)
+        if (seen := baby.get(x)) is not None:  # j g = +-j' g, so d = j -+ j'
+            d = j - seen[0] if seen[1] == y else j + seen[0]
+            tx, ty = target or (None, None)
+            if (hit := baby.get(tx)) is None:
                 return range(0)
-            return range((hit[0] if hit[1] == target[1] else -hit[0]) % d, count, d)
+            return range((hit[0] if hit[1] == ty else -hit[0]) % d, count, d)
         if j <= s:
-            baby[acc[0], acc[2]] = j, acc[1]
-    stride = c.neg_xyz(c.add_xyz(prev, acc))  # -(2s + 1) g
+            baby[x] = j, y
+    x, y = _add_fp(a, p, prev, acc)  # (2s + 1) g != O, else (s + 1) g = -s g repeated a key
+    stride = x, -y % p
     hits = []
     for i in range(0, count + s, 2 * s + 1):
         if i:
-            target = c.add_xyz(target, stride)
-        if (hit := baby.get((target[0], target[2]))) is not None:
-            hits.append(i + hit[0] if hit[1] == target[1] else i - hit[0])
+            target = _add_fp(a, p, target, stride)
+        tx, ty = target or (None, None)
+        if (hit := baby.get(tx)) is not None:
+            hits.append(i + hit[0] if hit[1] == ty else i - hit[0])
             if len(hits) == 2:  # two successive matches
                 return range(hits[0] % (d := hits[1] - hits[0]), count, d)
     return range(hits[0], hits[0] + 1) if hits and 0 <= hits[0] < count else range(0)
@@ -169,16 +223,18 @@ def _count_shanks_mestre(a: int, b: int, p: int) -> int:
     Points are drawn alternately on E and on its twist E' by a non-residue;
     on E' a candidate m asks (2p + 2 - m) P = O.  The candidates start as
     the Hasse interval and stay a range that each draw cuts to its BSGS
-    matches.  One left is proved (Mestre; Schoof 1995 for p > 229).
+    matches.  One left is proved (Mestre; Schoof 1995 for p > 229).  All
+    arithmetic is affine chord-and-tangent over F_p (_add_fp); the Curves
+    only seed and take the draws.
     """
     fp = Modulus._proven(p, 1)
     curve, twist = (Curve(a * u * u, b * u * u * u, fp) for u in (1, _non_residue(p)))
     w = math.isqrt(4 * p)
     cands = range(p + 1 - w, p + 2 + w)
-    for c, pt in _draws(curve, twist):
+    for c, (x, y, _) in _draws(curve, twist):
         # on the twist the candidates m count down as 2p + 2 - m
         n0, step = (cands[0], cands.step) if c is curve else (2 * p + 2 - cands[0], -cands.step)
-        ks = _bsgs(c, c.scalar_xyz(step, pt), c.scalar_xyz(-n0, pt), len(cands))
+        ks = _bsgs(c.a, p, _mul_fp(c.a, p, step, (x, y)), _mul_fp(c.a, p, -n0, (x, y)), len(cands))
         cands = cands[ks.start : ks.stop : ks.step]
         if len(cands) == 1:
             return cands[0]
@@ -200,7 +256,10 @@ def _require_prime(c: Curve) -> int:
 
 
 def _count_cost(p: int) -> int:
-    """One count over F_p: p steps for the sum, the baby and giant steps of every draw above _CROSSOVER."""
+    """One count over F_p: p steps for the sum, the baby and giant steps of every draw above _CROSSOVER.
+
+    The two O(log p) ladders per draw that build the BSGS inputs are not charged.
+    """
     return p if p <= _CROSSOVER else _DRAWS * 2 * (math.isqrt(2 * math.isqrt(4 * p)) + 1)
 
 
@@ -255,10 +314,9 @@ def _miller(a: int, p: int, lam: int, pt: tuple[int, int, int], n: int, at: tupl
         if x == sx and (y + sy) % p == 0:  # T + S = O, only at the last step
             num = num * (u - x) % p
             continue
-        m = (3 * x * x + a) * pow(2 * y, -1, p) % p if op == "d" else (sy - y) * pow(sx - x, -1, p) % p
-        x3 = (m * m - x - sx) % p
+        m, x3, y3 = _slope_sum(a, p, x, y, sx, sy)
         num, den = num * (v - y - m * (u - x)) % p, den * (u - x3) % p
-        x, y = x3, (m * (x - x3) - y) % p
+        x, y = x3, y3
     return pow(num * pow(den, -1, p), lam // n, p) if num and den else 0
 
 

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from znec import modring, structure
-from znec.curve import ADDITIONS, new_curve
+from znec.curve import ADDITIONS, Curve, new_curve
 from znec.errors import BudgetExceeded, NotAnomalous, SelfCheckFailed, ZnecError
 from znec.modring import factorize, is_prime
 from znec.structure import (
     CYCLIC,
     NON_ANOMALOUS,
     SPLIT,
+    _add_fp,
     _bsgs,
     _count_cost,
     _count_shanks_mestre,
@@ -209,9 +210,7 @@ def test_bsgs_finds_every_match():
     # the baby-step bound s = isqrt(count // 2) + 1
     cases = set()
     for a, b, p in ((12, 0, 13), (1, 1, 19), (2, 3, 23), (3, 4, 31)):
-        c = new_curve(a, b, p)
         pts = field_points(a, b, p)
-        xyz = {pt: (0, 1, 0) if pt is None else c.point(*pt).xyz for pt in pts}
         for g in pts:
             multiples = [None]  # multiples[k] = k g, up to the order of g
             while multiples[-1] is not None or len(multiples) == 1:
@@ -220,7 +219,7 @@ def test_bsgs_finds_every_match():
             for t in pts:
                 for count in (1, 2, 3, 4, 5, 8, 13, 21, 34, 55, 89):
                     want = [k for k in range(count) if multiples[k % order] == t]
-                    assert list(_bsgs(c, xyz[g], xyz[t], count)) == want, (a, b, p, g, t, count)
+                    assert list(_bsgs(a, p, g, t, count)) == want, (a, b, p, g, t, count)
                     s = math.isqrt(count // 2) + 1
                     kind = "d < s" if order < s else "d <= 2s+1" if order <= 2 * s + 1 else "d > 2s+1"
                     cases.add("g = O" if g is None else kind)
@@ -230,6 +229,39 @@ def test_bsgs_finds_every_match():
         "g = O", "d < s", "d <= 2s+1", "d > 2s+1", "t = O", "Y = 0", "t affine",
         *((small, m) for small in ("count < 4", "count >= 4") for m in (0, 1, 2)),
     }
+
+
+def test_affine_step_matches_the_oracle_on_every_pair():
+    # over F_11, y^2 = x^3 - x has full 2-torsion and y^2 = x^3 + x one point
+    # of order 2; y^2 = x^3 + x + 1 over F_19 has none
+    cases = set()
+    for a, b, p in ((10, 0, 11), (1, 0, 11), (1, 1, 19)):
+        pts = field_points(a, b, p)
+        for u in pts:
+            for v in pts:
+                ADDITIONS.reset()
+                assert _add_fp(a, p, u, v) == affine_add(a, b, p, u, v), (a, b, p, u, v)
+                assert ADDITIONS.reset() == 1
+                if u is None or v is None:
+                    cases.add("O")
+                elif u == v:
+                    cases.add("P = Q, y = 0" if u[1] == 0 else "P = Q")
+                elif u[0] == v[0]:
+                    cases.add("P = -Q")
+                else:
+                    cases.add("chord")
+    assert cases == {"O", "P = Q", "P = Q, y = 0", "P = -Q", "chord"}
+
+
+def test_count_takes_no_projective_step(monkeypatch):
+    # the Shanks-Mestre count is affine over F_p throughout
+    def refuse(*args, **kwargs):
+        pytest.fail("a projective step inside the count")
+
+    monkeypatch.setattr(Curve, "add_xyz", refuse)
+    monkeypatch.setattr(Curve, "scalar_xyz", refuse)
+    for a, b, p in ((5, 8, 2003), (2, 7, 2011), (0, 1, 100003), (1, 0, 262139)):
+        assert _count_shanks_mestre(a, b, p) == _legendre_count(a, b, p), (a, b, p)
 
 
 def test_bsgs_steps_stay_within_the_count_cost(monkeypatch):
