@@ -219,10 +219,11 @@ class Modulus:
 
     The factorization may be supplied explicitly (mandatory in practice for N
     beyond trial-division scale, e.g. p^2 for a 160-bit p); it must list
-    distinct primes with exponents >= 1 and multiply to N.  parts holds one
-    (p, p^e, eps) per prime-power component, in factorization order, eps the
-    CRT idempotent (1 mod its p^e, 0 mod the rest); every reader of the
-    decomposition reads it.
+    distinct primes with exponents >= 1 and multiply to N, and each prime is
+    proved.  parts holds one (p, p^e, eps) per prime-power component, in
+    factorization order, eps the CRT idempotent (1 mod its p^e, 0 mod the
+    rest); every reader of the decomposition reads it.  component() is the
+    only construction that skips the proof.
     """
 
     __slots__ = ("n", "factorization", "parts")
@@ -251,24 +252,14 @@ class Modulus:
         self.parts = tuple((p, pe, n // pe * pow(n // pe, -1, pe) % n) for p, pe in pes)
         return self
 
-    @classmethod
-    def _proven(cls, p: int, e: int) -> "Modulus":
-        """p^e for a prime p its caller has already proved, without testing p again.
-
-        The only way past validation.  component() passes a prime of its
-        own factorization.  _count_shanks_mestre passes the p of _count_fp,
-        and every caller of _count_fp passes a proved prime: count_points_fp
-        the curve's checked modulus, rank._curve_of_order_p a q from
-        hasse_primes, and rank._split_curve_mod_p2 a p that rank_bound has
-        already passed to hasse_primes.
-        """
-        return object.__new__(cls)._fill(p**e, ((p, e),))
-
     def component(self, p: int, e: int) -> "Modulus":
-        """p^e, for a prime p of this factorization and any e >= 1, without testing p again."""
+        """p^e, for a prime p of this factorization and any e >= 1.
+
+        p is not tested again: __init__ proved it for the modulus this one comes from.
+        """
         if e < 1 or all(p != f for f, _ in self.factorization):
             raise ZnecError(f"{p}^{e} is not a power of a prime of {self.n} with exponent >= 1")
-        return Modulus._proven(p, e)
+        return object.__new__(Modulus)._fill(p**e, ((p, e),))
 
     def as_prime_power(self) -> tuple[int, int]:
         if len(self.factorization) != 1:

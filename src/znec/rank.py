@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 
 from . import budgets
-from .curve import new_curve
+from .curve import Curve, new_curve
 from .errors import BudgetExceeded, NoCurveOfOrderP, SelfCheckFailed, ZnecError
-from .modring import crt_ints, is_prime
+from .modring import Modulus, crt_ints, is_prime
 from .structure import (
     SPLIT,
     GroupStructure,
@@ -98,13 +98,14 @@ def chi_p(p: int) -> tuple[int, tuple[int, int, int] | None]:
     if p < 5 or not is_prime(p):
         raise ZnecError(f"p must be a prime >= 5, got {p}")
     for q in chi_candidates(p):
+        fq = Modulus(q, ((q, 1),))
         twists: dict[int, int] = {}  # sextic class -> least B in it
         b = 0
         while len(twists) < 6:
             b += 1
             twists.setdefault(pow(b, (q - 1) // 6, q), b)
         for b in twists.values():
-            c = new_curve(0, b, q, factorization=((q, 1),))
+            c = Curve(0, b, fq)
             if count_points_fp(c) == p * p:
                 shape = group_structure_fp(c).shape
                 if shape != (p, p):
@@ -157,21 +158,23 @@ def _curve_of_order_p(q: int, p: int) -> tuple[int, int]:
 
 
 def _split_curve_mod_p2(p: int) -> tuple[int, int]:
-    """Lex-smallest (A, B) mod p^2 that is anomalous with split lift."""
+    """Lex-smallest (A, B) mod p^2 that is anomalous with split lift.
+
+    Per row A, B runs up over B0 + p t for the anomalous E_{A,B0}(F_p), each
+    candidate charged p; one Modulus proves p for them all.
+    """
     budget = budgets.resolve(budgets.CURVE_SEARCH)
     spent = 0
-    pp = p * p
-    for a, b in itertools.product(range(pp), repeat=2):
-        if (4 * a * a * a + 27 * b * b) % p == 0:
-            continue
-        if _count_fp(a % p, b % p, p) != p:
-            continue
-        spent += p
-        if spent > budget:
-            raise BudgetExceeded(f"split search mod {p}^2 passed {budget} operations")
-        c = new_curve(a, b, pp, factorization=((p, 2),))
-        if anomalous_type(c) == SPLIT:
-            return a, b
+    mod = Modulus(p * p, ((p, 2),))
+    for a in range(p * p):
+        a0 = a % p
+        bases = [b0 for b0 in range(p) if (4 * a0**3 + 27 * b0 * b0) % p and _count_fp(a0, b0, p) == p]
+        for t, b0 in itertools.product(range(p), bases):
+            spent += p
+            if spent > budget:
+                raise BudgetExceeded(f"split search mod {p}^2 passed {budget} operations")
+            if anomalous_type(Curve(a, b0 + p * t, mod)) == SPLIT:
+                return a, b0 + p * t
     raise SelfCheckFailed(f"no anomalous curve mod {p}^2 has a split lift")  # split lifts exist for every base
 
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 from . import budgets
 from .curve import ADDITIONS, Curve, CurvePoint, _fp_root, _hensel_lift, _non_residue
 from .errors import BudgetExceeded, NotAnomalous, SelfCheckFailed, ZnecError
-from .modring import Modulus, factorize, vp_int
+from .modring import factorize, vp_int
 
 NON_ANOMALOUS = "non-anomalous"
 CYCLIC = "cyclic"
@@ -223,18 +223,19 @@ def _count_shanks_mestre(a: int, b: int, p: int) -> int:
     Points are drawn alternately on E and on its twist E' by a non-residue;
     on E' a candidate m asks (2p + 2 - m) P = O.  The candidates start as
     the Hasse interval and stay a range that each draw cuts to its BSGS
-    matches.  One left is proved (Mestre; Schoof 1995 for p > 229).  All
-    arithmetic is affine chord-and-tangent over F_p (_add_fp); the Curves
-    only seed and take the draws.
+    matches.  One left is proved (Mestre; Schoof 1995 for p > 229).  The
+    count is plain integer arithmetic on (a, b, p): affine chord-and-tangent
+    steps over F_p (_add_fp), on points that _draws finds for both (a, b).
     """
-    fp = Modulus._proven(p, 1)
-    curve, twist = (Curve(a * u * u, b * u * u * u, fp) for u in (1, _non_residue(p)))
+    u = _non_residue(p)
+    sides = ((a % p, b % p), (a * u * u % p, b * u * u * u % p))
     w = math.isqrt(4 * p)
     cands = range(p + 1 - w, p + 2 + w)
-    for c, (x, y, _) in _draws(curve, twist):
+    for i, (x, y, _) in _draws(p, *sides):
         # on the twist the candidates m count down as 2p + 2 - m
-        n0, step = (cands[0], cands.step) if c is curve else (2 * p + 2 - cands[0], -cands.step)
-        ks = _bsgs(c.a, p, _mul_fp(c.a, p, step, (x, y)), _mul_fp(c.a, p, -n0, (x, y)), len(cands))
+        n0, step = (cands[0], cands.step) if i == 0 else (2 * p + 2 - cands[0], -cands.step)
+        ai = sides[i][0]
+        ks = _bsgs(ai, p, _mul_fp(ai, p, step, (x, y)), _mul_fp(ai, p, -n0, (x, y)), len(cands))
         cands = cands[ks.start : ks.stop : ks.step]
         if len(cands) == 1:
             return cands[0]
@@ -276,28 +277,28 @@ def count_points_fp(c: Curve) -> int:
     return _count_fp(c.a, c.b, p)
 
 
-def _draws(*curves: Curve):
-    """Up to _DRAWS (curve, affine point) pairs over F_p, the curves taken in turn.
+def _draws(p: int, *coeffs: tuple[int, int]):
+    """Up to _DRAWS (i, (x, y, 1)) over F_p, the point on y^2 = x^3 + a x + b for (a, b) = coeffs[i].
 
-    One RNG is seeded by the first curve's reduced (a, b, p), so a curve
-    always draws the same points.  x is uniform until x^3 + a x + b is a
-    square, and a coin picks +-y when y != 0, so O is never drawn and
-    2-torsion is drawn at double weight.  A caller that runs out raises
-    SelfCheckFailed; no measured count needed over 5 draws, and no shape
-    over 21 (55,337 shapes: every curve over F_p, 5 <= p <= 113, and the
-    components of the first 256 seed-0 classify-count ops).
+    The pairs, reduced mod p, are taken in turn; the first and p seed one
+    RNG, so a curve always draws the same points.  x is uniform until
+    x^3 + a x + b is a square, and a coin picks +-y when y != 0, so O is
+    never drawn and 2-torsion is drawn at double weight.  A caller that
+    runs out raises SelfCheckFailed; no measured count needed over 5 draws,
+    and no shape over 21 (55,337 shapes: every curve over F_p,
+    5 <= p <= 113, and the components of the first 256 seed-0
+    classify-count ops).
     """
-    c = curves[0]
-    rng = random.Random(f"{c.a} {c.b} {c.n}")
+    rng = random.Random(f"{coeffs[0][0]} {coeffs[0][1]} {p}")
     for draw in range(_DRAWS):
-        c = curves[draw % len(curves)]
-        p = c.n
+        i = draw % len(coeffs)
+        a, b = coeffs[i]
         x = rng.randrange(p)
-        while (y := _fp_root(c.a, c.b, x, p)) is None:
+        while (y := _fp_root(a, b, x, p)) is None:
             x = rng.randrange(p)
         if y and rng.random() < 0.5:
             y = p - y
-        yield c, (x, y, 1)
+        yield i, (x, y, 1)
 
 
 def _miller(a: int, p: int, lam: int, pt: tuple[int, int, int], n: int, at: tuple[int, int, int]) -> int:
@@ -345,7 +346,7 @@ def group_structure_fp(c: Curve) -> FieldCurveData:
     # per open l: l^a, lam_l, mu_l and an l-part of order lam_l drawn so far
     open_ = {l: (l**a, 1, 1, None) for l, a in factorize(q) if kmax[l]}
     n2 = 1
-    for _, pt in _draws(c):
+    for _, pt in _draws(p, (c.a, c.b)):
         for l, (la, lam, mu, s) in list(open_.items()):
             r = step = c.scalar_xyz(q // la, pt)
             order = 1
@@ -394,8 +395,8 @@ def is_anomalous(c: Curve) -> bool:
 
     One scalar multiplication at any size of p; over F_5 the points are counted.
     """
-    _require_prime(c)  # before drawing, which assumes a prime modulus
-    return _certified_anomalous(c, next(_draws(c))[1])
+    p = _require_prime(c)  # before drawing, which assumes a prime modulus
+    return _certified_anomalous(c, next(_draws(p, (c.a, c.b)))[1])
 
 
 def anomalous_type(c: Curve) -> str:
@@ -417,7 +418,7 @@ def anomalous_type(c: Curve) -> str:
         raise NotAnomalous(f"{fp!r} has {q} points, coprime to {p}")
     if e == 1:
         return CYCLIC
-    for _, pt in _draws(fp):
+    for _, pt in _draws(p, (fp.a, fp.b)):
         if (source := fp.scalar_xyz(q // p, pt)) != (0, 1, 0):
             break
     else:

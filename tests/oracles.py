@@ -4,7 +4,9 @@ Everything here is deliberately naive and self-contained (plain ints,
 no znec imports) so test expectations cannot inherit the package's own
 bugs.  The affine chord-tangent law is only total over a field; over
 Z/NZ it raises on non-invertible denominators and the tests route
-around those pairs via CRT instead.
+around those pairs via CRT instead.  The one exception is
+split_curve_mod_p2_by_all_b, which pins a search order, not a count: it
+walks every B with the package's own count and lift test.
 """
 
 import math
@@ -288,3 +290,31 @@ def expanded_law_t(a, b, n, P, Q):
         + b3 * yz_p % n * z1z2
     ) % n
     return t1, t2, t3
+
+
+def split_curve_mod_p2_by_all_b(p):
+    """Lex-smallest (A, B) mod p^2 that is anomalous with split lift, trying all p^2 values of B per A.
+
+    The reference for rank._split_curve_mod_p2's row walk, which must try
+    the same candidates in the same order: same result, charges and exceptions.
+    """
+    from znec import budgets
+    from znec.curve import new_curve
+    from znec.errors import BudgetExceeded, SelfCheckFailed
+    from znec.structure import SPLIT, _count_fp, anomalous_type
+
+    budget = budgets.resolve(budgets.CURVE_SEARCH)
+    spent = 0
+    pp = p * p
+    for a, b in product(range(pp), repeat=2):
+        if (4 * a * a * a + 27 * b * b) % p == 0:
+            continue
+        if _count_fp(a % p, b % p, p) != p:
+            continue
+        spent += p
+        if spent > budget:
+            raise BudgetExceeded(f"split search mod {p}^2 passed {budget} operations")
+        c = new_curve(a, b, pp, factorization=((p, 2),))
+        if anomalous_type(c) == SPLIT:
+            return a, b
+    raise SelfCheckFailed(f"no anomalous curve mod {p}^2 has a split lift")

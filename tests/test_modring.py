@@ -161,7 +161,7 @@ def test_modulus_validation():
     assert Modulus(25, ((5, 2),)).as_prime_power() == (5, 2)
 
 
-def test_lifted_modulus_reuses_the_proven_prime(monkeypatch):
+def test_component_reuses_the_prime_its_modulus_proved(monkeypatch):
     # Modulus.component builds p^e for a prime p of its own factorization,
     # at any exponent, from the proof it already holds
     p = 2**89 - 1

@@ -1,8 +1,8 @@
 import pytest
 
-from znec import rank
+from znec import modring, rank
 from znec.curve import new_curve
-from znec.errors import BudgetExceeded, NoCurveOfOrderP, SelfCheckFailed
+from znec.errors import BudgetExceeded, NoCurveOfOrderP, SelfCheckFailed, ZnecError
 from znec.rank import (
     CHI_ABSENT,
     CHI_ASSUMED,
@@ -17,7 +17,7 @@ from znec.rank import (
 )
 from znec.structure import CYCLIC, FieldCurveData, count_points_fp, group_structure_fp
 
-from oracles import count_fp, field_group_invariants
+from oracles import count_fp, field_group_invariants, split_curve_mod_p2_by_all_b
 
 HASSE = {
     5: (2, 3, 5, 7),
@@ -170,6 +170,34 @@ def test_split_curve_search_exhausted_is_a_self_check(monkeypatch):
     monkeypatch.setattr(rank, "anomalous_type", lambda c: CYCLIC)
     with pytest.raises(SelfCheckFailed):
         _split_curve_mod_p2(5)
+
+
+def _outcome(walk, p):
+    try:
+        return walk(p)
+    except ZnecError as exc:
+        return type(exc)
+
+
+def test_split_row_walk_matches_the_walk_over_every_b(monkeypatch):
+    # same candidates in the same order, so the same curve, the same charges and the same exceptions
+    for p in _sieve(199)[2:]:
+        assert _outcome(_split_curve_mod_p2, p) == _outcome(split_curve_mod_p2_by_all_b, p), p
+    monkeypatch.setenv("ZNEC_BUDGET", "40")
+    outcomes = {p: _outcome(_split_curve_mod_p2, p) for p in (5, 7, 11, 13, 17, 19, 23)}
+    assert outcomes == {p: _outcome(split_curve_mod_p2_by_all_b, p) for p in outcomes}
+    assert BudgetExceeded in outcomes.values() and any(isinstance(o, tuple) for o in outcomes.values())
+
+
+def test_searches_prove_each_prime_once(monkeypatch):
+    proved, real = [], modring.is_prime
+    monkeypatch.setattr(modring, "is_prime", lambda n: proved.append(n) or real(n))
+    got = _split_curve_mod_p2(307)
+    assert proved == [307]  # the walk over every B proved p once per candidate: 130 times
+    assert got == split_curve_mod_p2_by_all_b(307)
+    proved.clear()
+    assert chi_p(379) == (2, (143263, 0, 39))
+    assert proved.count(143263) == 1  # the six twists share one Modulus
 
 
 @pytest.mark.parametrize("p", sorted(CHI))

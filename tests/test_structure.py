@@ -254,12 +254,15 @@ def test_affine_step_matches_the_oracle_on_every_pair():
 
 
 def test_count_takes_no_projective_step(monkeypatch):
-    # the Shanks-Mestre count is affine over F_p throughout
+    # the Shanks-Mestre count is affine over F_p throughout, on (a, b, p)
+    # alone: it builds no Curve and no Modulus
     def refuse(*args, **kwargs):
-        pytest.fail("a projective step inside the count")
+        pytest.fail("a projective step, a Curve or a Modulus inside the count")
 
     monkeypatch.setattr(Curve, "add_xyz", refuse)
     monkeypatch.setattr(Curve, "scalar_xyz", refuse)
+    monkeypatch.setattr(Curve, "__init__", refuse)
+    monkeypatch.setattr(modring.Modulus, "_fill", refuse)
     for a, b, p in ((5, 8, 2003), (2, 7, 2011), (0, 1, 100003), (1, 0, 262139)):
         assert _count_shanks_mestre(a, b, p) == _legendre_count(a, b, p), (a, b, p)
 
@@ -310,19 +313,20 @@ def test_is_anomalous_agrees_with_the_count_on_every_curve(p):
 
 
 def test_draws_take_the_curves_in_turn():
-    c, t = new_curve(5, 8, 100003), new_curve(2, 7, 100003)
-    pairs = list(structure._draws(c, t))
-    assert [d for d, _ in pairs] == [c, t] * (structure._DRAWS // 2)
-    assert all(d.point(x, y).xyz == (x, y, z) for d, (x, y, z) in pairs)
+    p, coeffs = 100003, ((5, 8), (2, 7))
+    curves = [new_curve(a, b, p) for a, b in coeffs]
+    pairs = list(structure._draws(p, *coeffs))
+    assert [i for i, _ in pairs] == [0, 1] * (structure._DRAWS // 2)
+    assert all(curves[i].point(x, y).xyz == (x, y, z) for i, (x, y, z) in pairs)
 
 
 def test_a_curve_draws_the_same_points_after_other_curves_draw():
-    c = new_curve(5, 8, 100003)
-    fresh = list(structure._draws(c))
+    p = 100003
+    fresh = list(structure._draws(p, (5, 8)))
     group_structure_fp(new_curve(2, 7, 1009))
     anomalous_type(new_curve(7, 3, 169))
-    other = structure._draws(new_curve(2, 7, 100003))
-    interleaved = [pt for (_, pt), _ in zip(structure._draws(c), other)]
+    other = structure._draws(p, (2, 7))
+    interleaved = [pt for (_, pt), _ in zip(structure._draws(p, (5, 8)), other)]
     assert len(fresh) == structure._DRAWS
     assert interleaved == [pt for _, pt in fresh]
 
