@@ -10,9 +10,9 @@ curves.
 """
 
 from .curve import ADDITIONS, Curve, CurvePoint, new_curve, point_order
-from .dlp import DlpInstance, lift_point, solve_anomalous_dlp, theta
+from .dlp import DlpInstance, solve_anomalous_dlp
 from .errors import ZnecError
-from .infinity import compute_f, infinity_points, kernel_generator
+from .infinity import compute_f, infinity_points, kernel_generator, lift_point, theta
 from .modring import Modulus, crt_ints, factorize, is_prime
 from .rank import construct_max_rank_curve, hasse_primes, rank_bound
 from .structure import (

@@ -7,67 +7,18 @@ pP = (X : 1 : f(X))) is a surjective homomorphism with kernel exactly
 the kernel of reduction, so N = Theta(Q^)/Theta(P^) solves Q = N P with
 O(log p) curve additions.  A lift has one chance in p of being split
 instead (Theta identically 0); perturbing a coefficient by p gives an
-independent retry without changing anything mod p.
+independent retry without changing anything mod p.  Only the attack
+lives here; the lift and Theta it runs are infinity.lift_point and theta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import Curve, CurvePoint, _hensel_lift
-from .errors import (
-    LiftRetryExhausted,
-    NotAnomalous,
-    NotCyclic,
-    SelfCheckFailed,
-    ThetaZero,
-    ZnecError,
-)
-from .modring import vp_int
+from .curve import Curve, CurvePoint
+from .errors import LiftRetryExhausted, NotAnomalous, SelfCheckFailed, ThetaZero, ZnecError
+from .infinity import lift_point, theta
 from .structure import _certified_anomalous
-
-
-def lift_point(c: Curve, point: CurvePoint, target: Curve) -> CurvePoint:
-    """Hensel-lift a point of E(F_p) to a curve mod p^e that reduces to c.
-
-    Newton iteration corrects Y with X fixed, or X with Y fixed for
-    2-torsion points (curve._hensel_lift).  O lifts to O.  p^e is read
-    from the target, whose coefficients may differ from c's by multiples
-    of p.
-    """
-    p, k = c.modulus.as_prime_power()
-    if k != 1:
-        raise ZnecError(f"lift source must be mod a prime, got {c.n}")
-    if not isinstance(target, Curve) or target.n % p or target.reduced(c.modulus) != c:
-        raise ZnecError(f"{target!r} does not reduce to {c!r}")
-    e = target.modulus.as_prime_power()[1]
-    xyz = c._xyz(point)
-    if xyz == (0, 1, 0):
-        return target.identity()
-    return target.point(*_hensel_lift(target.a, target.b, xyz[0], xyz[1], p, e))
-
-
-def theta(c: Curve, point: CurvePoint) -> int:
-    """Theta(P) = X / p^(e-1) mod p, where p^(e-1) P = (X : 1 : f(X)), in [0, p).
-
-    Defined on curves mod p^e (e >= 2) whose group is cyclic of order
-    p^e; there it is a surjective homomorphism onto F_p with kernel
-    <(p : 1 : f(p))>.  On a split anomalous curve the multiple is always
-    O and Theta degenerates to 0.  If the multiple lands on an affine
-    point (which means the curve was not anomalous at all), NotCyclic.
-    """
-    p, e = c.modulus.as_prime_power()
-    if e < 2:
-        raise ZnecError(f"theta needs e >= 2, got modulus {c.n}")
-    xyz = c._xyz(point)
-    mult = c.scalar_xyz(p ** (e - 1), xyz)
-    if mult[1] != 1 or mult[0] % p or mult[2] % p:
-        # points over infinity canonicalize to (X : 1 : f(X)), p | X, p | f(X)
-        raise NotCyclic(f"{p}^{e - 1} * {xyz} = {mult} is not over infinity")
-    x = mult[0]
-    if vp_int(x, p, e) < e - 1:
-        raise NotCyclic(f"vp({x}) < {e - 1} in {p}^{e - 1} * {xyz} = {mult}")
-    return x // p ** (e - 1)
 
 
 @dataclass(frozen=True)

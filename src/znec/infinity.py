@@ -8,12 +8,15 @@ B X^9 + ... of degree < e.  The points over infinity are then exactly
 kernel of reduction mod p, and that kernel is cyclic generated by
 (p : 1 : f(p)).  To first approximation the X-coordinate is additive:
 X3 = X1 + X2 mod p^(5 min(vp X1, vp X2)).
+
+Lifts from E(F_p) and Theta live here too, and theta and structure.phi_map
+read a multiple over infinity through one test, _kernel_x.
 """
 
 from __future__ import annotations
 
-from .curve import Curve, CurvePoint
-from .errors import ZnecError
+from .curve import Curve, CurvePoint, _hensel_lift
+from .errors import NotCyclic, ZnecError
 
 
 def _mul_trunc(f: list[int], g: list[int], e: int, pe: int) -> list[int]:
@@ -99,3 +102,48 @@ def kernel_generator(curve: Curve) -> CurvePoint:
     if f.e == 1:
         return curve.identity()
     return infinity_point(curve, f.p, f)
+
+
+def _kernel_x(c: Curve, k: int, xyz: tuple[int, int, int]) -> int | None:
+    """X of k * xyz if that multiple is over infinity, (X : 1 : Z) with p | X and p | Z; else None."""
+    p = c.modulus.as_prime_power()[0]
+    x, y, z = c.scalar_xyz(k, xyz)
+    return x if y == 1 and x % p == 0 and z % p == 0 else None
+
+
+def lift_point(c: Curve, point: CurvePoint, target: Curve) -> CurvePoint:
+    """Hensel-lift a point of E(F_p) to a curve mod p^e that reduces to c.
+
+    Newton iteration corrects Y with X fixed, or X with Y fixed for
+    2-torsion points (curve._hensel_lift).  O lifts to O.  p^e is read
+    from the target, whose coefficients may differ from c's by multiples
+    of p.
+    """
+    p, k = c.modulus.as_prime_power()
+    if k != 1:
+        raise ZnecError(f"lift source must be mod a prime, got {c.n}")
+    if not isinstance(target, Curve) or target.n % p or target.reduced(c.modulus) != c:
+        raise ZnecError(f"{target!r} does not reduce to {c!r}")
+    e = target.modulus.as_prime_power()[1]
+    xyz = c._xyz(point)
+    if xyz == (0, 1, 0):
+        return target.identity()
+    return target.point(*_hensel_lift(target.a, target.b, xyz[0], xyz[1], p, e))
+
+
+def theta(c: Curve, point: CurvePoint) -> int:
+    """Theta(P) = X / p^(e-1) mod p, where p^(e-1) P = (X : 1 : f(X)), in [0, p).
+
+    Defined on curves mod p^e (e >= 2) whose group is cyclic of order
+    p^e; there it is a surjective homomorphism onto F_p with kernel
+    <(p : 1 : f(p))>.  On a split anomalous curve the multiple is always
+    O and Theta degenerates to 0.  If the multiple lands on an affine
+    point (which means the curve was not anomalous at all), NotCyclic.
+    """
+    p, e = c.modulus.as_prime_power()
+    if e < 2:
+        raise ZnecError(f"theta needs e >= 2, got modulus {c.n}")
+    xyz = c._xyz(point)
+    if (x := _kernel_x(c, p ** (e - 1), xyz)) is None or x % p ** (e - 1):
+        raise NotCyclic(f"{p}^{e - 1} * {xyz} is not over infinity with {p}^{e - 1} | X")
+    return x // p ** (e - 1)

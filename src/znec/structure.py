@@ -12,8 +12,8 @@ by one point of order p.  The group
 splits over the prime-power components of N.  For a component p^e the
 fiber count gives |E(Z/p^eZ)| = p^(e-1) |E(F_p)|, and the structure is
 E(F_p) + Z/p^(e-1)Z except when |E(F_p)| = p (the anomalous case), where
-the component is either cyclic Z/p^eZ or F_p + Z/p^(e-1)Z; which of the
-two happens is decided by lifting one point and checking its order.
+the component is either cyclic Z/p^eZ or F_p + Z/p^(e-1)Z, decided by
+Theta (infinity.theta) of one lifted order-p point: 0 exactly when split.
 classify() assembles the local pieces into an invariant factor chain.
 """
 
@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import budgets
-from .curve import ADDITIONS, Curve, CurvePoint, _fp_root, _hensel_lift, _non_residue
+from .curve import ADDITIONS, Curve, CurvePoint, _fp_root, _non_residue
 from .errors import BudgetExceeded, NotAnomalous, SelfCheckFailed, ZnecError
+from .infinity import _kernel_x, lift_point, theta
 from .modring import factorize, vp_int
 
 NON_ANOMALOUS = "non-anomalous"
@@ -403,9 +404,9 @@ def anomalous_type(c: Curve) -> str:
     """CYCLIC or SPLIT: the class of the p-Sylow extension when p | |E(F_p)|.
 
     Lift a point of exact order p from E(F_p), the cofactor multiple of a
-    point drawn from an RNG seeded by the curve; in the split case the
-    p-part of the group has exponent p^(e-1), so the lift dies under
-    p^(e-1), while in the cyclic case it survives.  Trace 1 mod p means
+    point drawn from an RNG seeded by the curve; the split case has p-part
+    of exponent p^(e-1), so the lift's Theta (the DLP's split test) is 0,
+    and in the cyclic case it is not.  Trace 1 mod p means
     |E(F_p)| = p (anomalous) except over F_5, where |E(F_5)| = 10 also
     qualifies; both are handled, and for q = p any nonzero point already
     has order p.  Decided at the given e rather than assumed stable
@@ -423,10 +424,7 @@ def anomalous_type(c: Curve) -> str:
             break
     else:
         raise SelfCheckFailed(f"{_DRAWS} points of {fp!r} all die under the cofactor {q // p}")
-    lifted = c.point(*_hensel_lift(c.a, c.b, *source[:2], p, e))
-    if c.scalar_xyz(p ** (e - 1), lifted.xyz) == (0, 1, 0):
-        return SPLIT
-    return CYCLIC
+    return SPLIT if theta(c, lift_point(fp, fp.point(*source), c)) == 0 else CYCLIC
 
 
 def classify(c: Curve) -> GroupStructure:
@@ -475,18 +473,18 @@ def phi_map(c: Curve, point: CurvePoint) -> tuple[CurvePoint, int]:
     """The pair (reduction mod p, scaled X-coordinate of the q-multiple).
 
     Phi(P) = (pi(P), X/p mod p^(e-1)) where qP = (X : 1 : f(X)) and
-    q = |E(F_p)|; the second coordinate is an int in [0, p^(e-1)).  A
-    homomorphism for e <= 5 (the X-coordinate of points over infinity is
-    additive mod p^5), bijective exactly when p does not divide q; q = p
-    and the F_5 fringe case q = 10 both make the second coordinate
-    collapse on the cyclic p-part.
+    q = |E(F_p)|; the second coordinate is an int in [0, p^(e-1)).  qP is
+    read by Theta's test (infinity._kernel_x), and SelfCheckFailed if it
+    is not over infinity.  A homomorphism for e <= 5 (the X-coordinate of
+    points over infinity is additive mod p^5), bijective exactly when p
+    does not divide q; q = p and the F_5 fringe case q = 10 both make the
+    second coordinate collapse on the cyclic p-part.
     """
     p, e = c.modulus.as_prime_power()
     if e > 5:
         raise ZnecError(f"phi_map is only additive for e <= 5, got e = {e}")
     fp = c.component(p, 1)
     q = count_points_fp(fp)
-    mult = c.scalar_xyz(q, c._xyz(point))
-    if mult[1] != 1 or mult[0] % p:
+    if (x := _kernel_x(c, q, c._xyz(point))) is None:
         raise SelfCheckFailed(f"{q} * {point!r} is not a point over infinity")
-    return point.reduced(fp), mult[0] // p
+    return point.reduced(fp), x // p

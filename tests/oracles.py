@@ -4,9 +4,10 @@ Everything here is deliberately naive and self-contained (plain ints,
 no znec imports) so test expectations cannot inherit the package's own
 bugs.  The affine chord-tangent law is only total over a field; over
 Z/NZ it raises on non-invertible denominators and the tests route
-around those pairs via CRT instead.  The one exception is
-split_curve_mod_p2_by_all_b, which pins a search order, not a count: it
-walks every B with the package's own count and lift test.
+around those pairs via CRT instead.  Two exceptions run the package's
+own law.  split_curve_mod_p2_by_all_b pins a search order, not a count:
+it walks every B with the package's own count and lift test.
+anomalous_type_by_multiple keeps the split rule that Theta replaced.
 """
 
 import math
@@ -318,3 +319,23 @@ def split_curve_mod_p2_by_all_b(p):
         if anomalous_type(c) == SPLIT:
             return a, b
     raise SelfCheckFailed(f"no anomalous curve mod {p}^2 has a split lift")
+
+
+def anomalous_type_by_multiple(c):
+    """CYCLIC or SPLIT for a curve mod p^e (e >= 2) with p | |E(F_p)|, by the order of a lift.
+
+    Hensel-lift the first drawn point whose cofactor multiple is not O,
+    and call the component split when p^(e-1) times the lift is O: the
+    rule structure.anomalous_type used before it read Theta.
+    """
+    from znec.curve import _hensel_lift
+    from znec.structure import CYCLIC, SPLIT, _draws
+
+    p, e = c.modulus.as_prime_power()
+    fp = c.component(p, 1)
+    q = count_fp(fp.a, fp.b, p)
+    for _, pt in _draws(p, (fp.a, fp.b)):
+        if (source := fp.scalar_xyz(q // p, pt)) != (0, 1, 0):
+            break
+    lifted = c.point(*_hensel_lift(c.a, c.b, source[0], source[1], p, e))
+    return SPLIT if c.scalar_xyz(p ** (e - 1), lifted.xyz) == (0, 1, 0) else CYCLIC

@@ -2,14 +2,17 @@ import random
 
 import pytest
 
-from znec.curve import CurvePoint, new_curve, point_order
+from znec.curve import Curve, CurvePoint, new_curve, point_order
+from znec.errors import NotCyclic, SelfCheckFailed
 from znec.infinity import (
     compute_f,
     infinity_point,
     infinity_points,
     kernel_generator,
+    theta,
 )
 from znec.modring import Modulus, vp_int
+from znec.structure import phi_map
 from enumeration import infinity_sum_check
 
 rng = random.Random(0x1F1F)
@@ -129,3 +132,17 @@ def test_f_puts_points_on_curve_past_e10(p, e):
     for _ in range(20):
         x = r.randrange(0, p**e, p)
         CurvePoint(c, (x, 1, f.evaluate_int(x)))  # raises PointNotOnCurve if f is off
+
+
+@pytest.mark.parametrize(
+    "read, error",
+    [(phi_map, SelfCheckFailed), (theta, NotCyclic)],
+    ids=["phi_map", "theta"],
+)
+def test_an_affine_multiple_is_not_read_as_over_infinity(monkeypatch, read, error):
+    # (13 : 1 : 1) is affine on E_{1,b}(Z/169): 13 | X and Y = 1, but 13 does not divide Z
+    c = new_curve(1, (1 - 13**3 - 13) % 169, 169)
+    point = c.point(13, 1)
+    monkeypatch.setattr(Curve, "scalar_xyz", lambda self, k, xyz: (13, 1, 1))
+    with pytest.raises(error, match="over infinity"):
+        read(c, point)

@@ -26,7 +26,14 @@ from znec.structure import (
 )
 from znec.reference import DLP160_A, DLP160_B, DLP160_P
 from enumeration import brute_force_structure, enumerate_points, invariant_factors
-from oracles import affine_add, count_fp, field_group_invariants, field_points, shanks_mestre_by_orders
+from oracles import (
+    affine_add,
+    anomalous_type_by_multiple,
+    count_fp,
+    field_group_invariants,
+    field_points,
+    shanks_mestre_by_orders,
+)
 
 rng = random.Random(0xABE1)
 
@@ -622,6 +629,29 @@ def test_trace_one_mod_p_lifts_agree_with_enumeration():
             cyclic += g.local[0].case == CYCLIC
     assert total == 25
     assert cyclic == 20  # same (p-1)/p heuristic as the anomalous case
+
+
+def test_anomalous_type_agrees_with_the_order_of_the_lift():
+    # every b-lift mod p^2 and p^3 of every base over F_p with p | |E(F_p)|
+    curves = [
+        new_curve(a, b + p * t, p**e)
+        for p in (5, 7, 11)
+        for a in range(p)
+        for b in range(p)
+        if (4 * a**3 + 27 * b**2) % p and count_fp(a, b, p) % p == 0
+        for e in (2, 3)
+        for t in range(p)
+    ]
+    assert len(curves) == 196
+    types = set()
+    for c in curves:
+        start = ADDITIONS.value
+        expected = anomalous_type_by_multiple(c)
+        middle = ADDITIONS.value
+        assert anomalous_type(c) == expected, c
+        assert ADDITIONS.value - middle == middle - start, c  # Theta takes the same multiple
+        types.add(expected)
+    assert types == {CYCLIC, SPLIT}
 
 
 def test_anomalous_type_requires_p_dividing_field_order():
