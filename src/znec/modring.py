@@ -276,22 +276,6 @@ class Modulus:
         return f"Modulus({self.n})"
 
 
-def vp_int(value: int, p: int, e: int) -> int:
-    """p-adic valuation of a residue mod p^e, capped at e, the valuation given to 0.
-
-    >>> vp_int(75, 5, 3)
-    2
-    """
-    value %= p**e
-    if value == 0:
-        return e
-    t = 0
-    while value % p == 0:
-        value //= p
-        t += 1
-    return t
-
-
 def crt_ints(pairs: list[tuple[int, int]]) -> tuple[int, int]:
     """Combine (residue, modulus) pairs; returns (value, product modulus)."""
     value, modulus = 0, 1

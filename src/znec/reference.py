@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curve import ADDITIONS, new_curve, point_order
-from .dlp import DlpInstance, lift_point, solve_anomalous_dlp, theta
+from .dlp import DlpInstance, solve_anomalous_dlp
+from .infinity import lift_point, theta
 from .rank import chi_p, construct_max_rank_curve, rank_bound
 from .structure import NON_ANOMALOUS, classify
 

@@ -6,11 +6,11 @@ interval with m P = O for every P drawn on E, and (2p + 2 - m) P = O on
 its quadratic twist.  The count takes affine chord-and-tangent steps over
 F_p (_add_fp, None for O), not Curve's projective law.  Its shape
 Z/n1 + Z/n2 is proved one l-primary part at a time, by Weil pairings of
-the l-parts of drawn points, for the l that gcd bounds leave open.  All
-points come from _draws, seeded by the curve; |E(F_p)| = p is certified
-by one point of order p.  The group
-splits over the prime-power components of N.  For a component p^e the
-fiber count gives |E(Z/p^eZ)| = p^(e-1) |E(F_p)|, and the structure is
+the l-parts of drawn points, for each l with l^2 | |E(F_p)|, l | p-1 and
+l | t-2 (t the trace).  All points come from _draws, seeded by the curve;
+|E(F_p)| = p is certified by one point of order p.  The group splits
+over the prime-power components of N.  For a component p^e the fiber
+count gives |E(Z/p^eZ)| = p^(e-1) |E(F_p)|, and the structure is
 E(F_p) + Z/p^(e-1)Z except when |E(F_p)| = p (the anomalous case), where
 the component is either cyclic Z/p^eZ or F_p + Z/p^(e-1)Z, decided by
 Theta (infinity.theta) of one lifted order-p point: 0 exactly when split.
@@ -28,7 +28,7 @@ from . import budgets
 from .curve import ADDITIONS, Curve, CurvePoint, _fp_root, _non_residue
 from .errors import BudgetExceeded, NotAnomalous, SelfCheckFailed, ZnecError
 from .infinity import _kernel_x, lift_point, theta
-from .modring import factorize, vp_int
+from .modring import factorize
 
 NON_ANOMALOUS = "non-anomalous"
 CYCLIC = "cyclic"
@@ -39,7 +39,7 @@ SPLIT = "split"
 # 0.41 ms and the affine Shanks-Mestre 0.08 ms (0.13 ms with projective steps);
 # they cross near p = 400 (0.07 ms each at p = 401).  Moving the constant
 # changes what _count_cost charges, and so what rank admits under its budget.
-# _draws yields _DRAWS points at most to each caller
+# _draws yields _DRAWS points at most per count, per l-part or per anomalous component
 _CROSSOVER = 2000
 _DRAWS = 40
 
@@ -284,11 +284,11 @@ def _draws(p: int, *coeffs: tuple[int, int]):
     The pairs, reduced mod p, are taken in turn; the first and p seed one
     RNG, so a curve always draws the same points.  x is uniform until
     x^3 + a x + b is a square, and a coin picks +-y when y != 0, so O is
-    never drawn and 2-torsion is drawn at double weight.  A caller that
-    runs out raises SelfCheckFailed; no measured count needed over 5 draws,
-    and no shape over 21 (55,337 shapes: every curve over F_p,
-    5 <= p <= 113, and the components of the first 256 seed-0
-    classify-count ops).
+    never drawn and 2-torsion is drawn at double weight.  A count, l-part
+    or anomalous component that runs out raises SelfCheckFailed; no
+    measured count needed over 5 draws, and no l-part over 21 (59,092
+    l-parts: every curve over F_p, 5 <= p <= 113, and the components of
+    the first 256 seed-0 classify-count ops).
     """
     rng = random.Random(f"{coeffs[0][0]} {coeffs[0][1]} {p}")
     for draw in range(_DRAWS):
@@ -325,30 +325,27 @@ def _miller(a: int, p: int, lam: int, pt: tuple[int, int, int], n: int, at: tupl
 def group_structure_fp(c: Curve) -> FieldCurveData:
     """Shape (n1, n2) of E(F_p) = Z/n1 + Z/n2 with n2 | n1 and n2 | p-1.
 
-    The l-part of n2 is bounded by gcd conditions on the order q, p-1 and
-    the trace; every l whose bound is 0 has a cyclic l-part, with no
-    point arithmetic at all.  Each other l, with l^a exactly dividing q,
-    is proved one l-primary part at a time (Miller, J. Cryptology 17,
-    2004): per point drawn from an RNG seeded by the curve, R = (q/l^a) P
-    has order l^b, found by steps of l.  lam_l, the largest such order,
-    divides the exponent l^(a-c) of the l-part, and mu_l, the largest
-    order of the Weil pairings e_lam_l(R, S) = (-1)^lam_l f_R(S) / f_S(R)
-    against the highest-order l-part S drawn before, divides l^c; so l is
-    proved once lam_l * mu_l = l^a.  Every shape returned is proved:
-    running out of draws (see _draws) raises SelfCheckFailed instead.
+    With l^a exactly dividing the order q, the l-part of n2 is cyclic
+    outright unless a >= 2, l | p-1 and l | t-2 (t the trace); no point
+    arithmetic is done for it.  Each such open l is proved on its own
+    (Miller, J. Cryptology 17, 2004), in one loop over the draws of
+    _draws, seeded by the curve: per point P, R = (q/l^a) P has order
+    l^b, found by steps of l.  lam, the largest such order, divides the
+    exponent l^(a-c) of the l-part, and mu, the largest order of the Weil
+    pairings e_lam(R, S) = (-1)^lam f_R(S) / f_S(R) against the
+    highest-order l-part S drawn before, divides l^c; so l is proved once
+    lam * mu = l^a.  Every shape returned is proved: an l that runs out
+    of draws raises SelfCheckFailed instead.
     """
     p = _require_prime(c)
     q = count_points_fp(c)
     t = p + 1 - q
-    # l^kmax[l] bounds the l-part of n2; every bound is 0 when q is prime
-    kmax = {l: min(a // 2, vp_int(p - 1, l, a), vp_int(t - 2, l, a)) for l, a in factorize(q)}
-    if all(k == 0 for k in kmax.values()):
-        return FieldCurveData(p, q, t, (q, 1))
-    # per open l: l^a, lam_l, mu_l and an l-part of order lam_l drawn so far
-    open_ = {l: (l**a, 1, 1, None) for l, a in factorize(q) if kmax[l]}
     n2 = 1
-    for _, pt in _draws(p, (c.a, c.b)):
-        for l, (la, lam, mu, s) in list(open_.items()):
+    for l, a in factorize(q):
+        if a < 2 or (p - 1) % l or (t - 2) % l:
+            continue
+        la, lam, mu, s = l**a, 1, 1, None
+        for _, pt in _draws(p, (c.a, c.b)):
             r = step = c.scalar_xyz(q // la, pt)
             order = 1
             while step != (0, 1, 0):
@@ -368,14 +365,11 @@ def group_structure_fp(c: Curve) -> FieldCurveData:
             if order > lam:
                 lam, s = order, r
             if lam * mu == la:
-                del open_[l]
-                n2 *= mu
-            else:
-                open_[l] = la, lam, mu, s
-        if not open_:
-            return FieldCurveData(p, q, t, (q // n2, n2))
-    left = {l: (lam, mu) for l, (_, lam, mu, _) in open_.items()}
-    raise SelfCheckFailed(f"no Weil pairing certified the shape of {c!r} in {_DRAWS} draws (lam, mu per open l: {left})")
+                break
+        else:
+            raise SelfCheckFailed(f"no Weil pairing certified the {l}-part of {c!r} in {_DRAWS} draws: lam {lam}, mu {mu}")
+        n2 *= mu
+    return FieldCurveData(p, q, t, (q // n2, n2))
 
 
 def _certified_anomalous(c: Curve, xyz: tuple[int, int, int]) -> bool:

@@ -12,7 +12,7 @@ import itertools
 from znec.curve import CurvePoint, _fp_root, _hensel_lift
 from znec.errors import NotPrimePower
 from znec.infinity import compute_f, infinity_point, infinity_points
-from znec.modring import factorize, vp_int
+from znec.modring import factorize
 from znec.structure import GroupStructure, _chain
 from oracles import crt_pairs
 
@@ -104,6 +104,18 @@ def brute_force_structure(c):
         comp = c.component(p, e)
         pool.extend(_elementary_divisors(comp, component_points(comp)))
     return GroupStructure(c.n, invariant_factors(pool), local=())
+
+
+def vp_int(value, p, e):
+    """p-adic valuation of a residue mod p^e, capped at e, the valuation given to 0."""
+    value %= p**e
+    if value == 0:
+        return e
+    t = 0
+    while value % p == 0:
+        value //= p
+        t += 1
+    return t
 
 
 def infinity_sum_check(curve, x1, x2):

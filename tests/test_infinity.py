@@ -11,9 +11,9 @@ from znec.infinity import (
     kernel_generator,
     theta,
 )
-from znec.modring import Modulus, vp_int
+from znec.modring import Modulus
 from znec.structure import phi_map
-from enumeration import infinity_sum_check
+from enumeration import infinity_sum_check, vp_int
 
 rng = random.Random(0x1F1F)
 

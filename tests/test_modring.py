@@ -15,9 +15,9 @@ from znec.modring import (
     crt_ints,
     factorize,
     is_prime,
-    vp_int,
 )
 from znec.projective import canonical_triple
+from enumeration import vp_int
 from oracles import crt_pairs
 
 rng = random.Random(0xC0FFEE)

@@ -407,7 +407,7 @@ def test_field_structure_ignores_call_history():
 def test_field_structure_without_certificate_fails(monkeypatch):
     # the (13, 13) certificate pairs two draws, so one draw cannot prove it
     monkeypatch.setattr(structure, "_DRAWS", 1)
-    with pytest.raises(SelfCheckFailed):
+    with pytest.raises(SelfCheckFailed, match=r"the 13-part of E_\{0,15\}\(Z/157\) in 1 draws: lam 13, mu 1$"):
         group_structure_fp(new_curve(0, 15, 157))
 
 
