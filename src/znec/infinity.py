@@ -1,13 +1,15 @@
 """The points of E(Z/p^eZ) lying over (0 : 1 : 0), and their arithmetic.
 
 On the chart Y = 1 the curve reads Z = X^3 + A X Z^2 + B Z^3.  Its
-solution Z = f(X) mod X^e (terms of degree >= e vanish when p | X) is
-the fixed point of that equation, a polynomial f(X) = X^3 + A X^7 +
-B X^9 + ... of degree < e.  The points over infinity are then exactly
-(X : 1 : f(X)) for the p^(e-1) values X divisible by p, they form the
-kernel of reduction mod p, and that kernel is cyclic generated by
-(p : 1 : f(p)).  To first approximation the X-coordinate is additive:
-X3 = X1 + X2 mod p^(5 min(vp X1, vp X2)).
+solution Z = f(X) mod X^e (terms of degree >= e vanish when p | X) is a
+polynomial f(X) = X^3 + A X^7 + B X^9 + ... of degree < e, built one
+coefficient at a time by the formal-group recurrence (AEC IV.1): the
+x^k coefficient reads only lower ones, so each is final once written.
+The points over infinity are then exactly (X : 1 : f(X)) for the
+p^(e-1) values X divisible by p, they form the kernel of reduction mod
+p, and that kernel is cyclic generated by (p : 1 : f(p)).  To first
+approximation the X-coordinate is additive: X3 = X1 + X2 mod
+p^(5 min(vp X1, vp X2)).
 
 Lifts from E(F_p) and Theta live here too, and theta and structure.phi_map
 read a multiple over infinity through one test, _kernel_x.
@@ -17,16 +19,6 @@ from __future__ import annotations
 
 from .curve import Curve, CurvePoint, _hensel_lift
 from .errors import NotCyclic, ZnecError
-
-
-def _mul_trunc(f: list[int], g: list[int], e: int, pe: int) -> list[int]:
-    """f * g mod (x^e, p^e) on coefficient lists of length e."""
-    out = [0] * e
-    for i, c in enumerate(f):
-        if c:
-            for j in range(e - i):
-                out[i + j] += c * g[j]
-    return [c % pe for c in out]
 
 
 class InfinityPolynomial:
@@ -57,25 +49,27 @@ class InfinityPolynomial:
 
 
 def compute_f(curve: Curve) -> InfinityPolynomial:
-    """The fixed point of f = x^3 + A x f^2 + B f^3 mod (x^e, p^e).
+    """The solution f of f = x^3 + A x f^2 + B f^3 mod (x^e, p^e), in one pass.
 
-    The right-hand side of two candidates that agree mod x^k agrees mod
-    x^(k+4), since f has no terms below x^3; so iterating from f = 0
-    stabilizes within e passes.  For e <= 3 everything truncates away and
-    f = 0; for e = 10 the result is exactly x^3 + A x^7 + B x^9.
+    Comparing x^k coefficients gives the formal-group recurrence
+    f_k = [k = 3] + A (f^2)_(k-1) + B (f^3)_k (Silverman, AEC IV.1).
+    Since f has no terms below x^3, (f^2)_j reads only f_i with
+    i <= j - 3 and (f^3)_k only (f^2)_j with j <= k - 3, so each
+    coefficient is final once written.  For e <= 3 everything truncates
+    away and f = 0; for e = 10 the result is exactly x^3 + A x^7 + B x^9.
+    Silverman's w = z^3 + A z^7 + B z^9 + 2A^2 z^11 + 5AB z^13 + ...:
+
+    >>> from .curve import new_curve
+    >>> compute_f(new_curve(2, 3, 7**14, factorization=((7, 14),))).coefficients()
+    (0, 0, 0, 1, 0, 0, 0, 2, 0, 3, 0, 8, 0, 30)
     """
     p, e = curve.modulus.as_prime_power()
     pe = curve.n
-    f = [0] * e
-    for _ in range(e):
-        f2 = _mul_trunc(f, f, e, pe)
-        f3 = _mul_trunc(f2, f, e, pe)
-        nxt = [(curve.a * u + curve.b * v) % pe for u, v in zip([0] + f2, f3)]  # x f^2 is f2 shifted
-        if e > 3:
-            nxt[3] = (nxt[3] + 1) % pe
-        if nxt == f:
-            break
-        f = nxt
+    f, f2 = [0] * e, [0] * e  # f2[j] is the x^j coefficient of f^2, written at k = j + 1
+    for k in range(3, e):
+        f2[k - 1] = sum(f[i] * f[k - 1 - i] for i in range(3, k - 3)) % pe
+        f3 = sum(f2[j] * f[k - j] for j in range(6, k - 2))
+        f[k] = ((k == 3) + curve.a * f2[k - 1] + curve.b * f3) % pe
     return InfinityPolynomial(curve, p, e, tuple(f))
 
 

@@ -339,3 +339,32 @@ def anomalous_type_by_multiple(c):
             break
     lifted = c.point(*_hensel_lift(c.a, c.b, source[0], source[1], p, e))
     return SPLIT if c.scalar_xyz(p ** (e - 1), lifted.xyz) == (0, 1, 0) else CYCLIC
+
+
+def _mul_trunc(f, g, e, pe):
+    """f * g mod (x^e, p^e) on coefficient lists of length e."""
+    out = [0] * e
+    for i, c in enumerate(f):
+        for j in range(e - i):
+            out[i + j] += c * g[j]
+    return [c % pe for c in out]
+
+
+def infinity_f_by_fixed_point(a, b, p, e):
+    """Coefficients of f = x^3 + A x f^2 + B f^3 mod (x^e, p^e), iterated from f = 0.
+
+    Two candidates that agree mod x^k have right-hand sides that agree mod
+    x^(k+4), since f has no terms below x^3; so e passes reach the fixed point.
+    """
+    pe = p**e
+    f = [0] * e
+    for _ in range(e):
+        f2 = _mul_trunc(f, f, e, pe)
+        f3 = _mul_trunc(f2, f, e, pe)
+        nxt = [(a * u + b * v) % pe for u, v in zip([0] + f2, f3)]  # x f^2 is f2 shifted
+        if e > 3:
+            nxt[3] = (nxt[3] + 1) % pe
+        if nxt == f:
+            break
+        f = nxt
+    return tuple(f)

@@ -14,6 +14,7 @@ from znec.infinity import (
 from znec.modring import Modulus
 from znec.structure import phi_map
 from enumeration import infinity_sum_check, vp_int
+from oracles import infinity_f_by_fixed_point
 
 rng = random.Random(0x1F1F)
 
@@ -44,6 +45,20 @@ def test_f_closed_form_at_e10(p):
         want = [0] * 10
         want[3], want[7], want[9] = 1, c.a % p**10, c.b % p**10
         assert list(f.coefficients()) == want
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101])
+def test_f_matches_the_fixed_point_iteration(p):
+    # per e, three seeded curves: a random one, one with p | A and one with p | B
+    for e in [*range(1, 14), 25, 60]:
+        r = random.Random(f"{p} {e}")
+        pe = p**e
+        for scale_a, scale_b in [(1, 1), (p, 1), (1, p)]:
+            a, b = 0, 0
+            while (4 * a**3 + 27 * b**2) % p == 0:
+                a, b = scale_a * r.randrange(pe) % pe, scale_b * r.randrange(pe) % pe
+            f = compute_f(new_curve(a, b, pe, factorization=((p, e),)))
+            assert f.coefficients() == infinity_f_by_fixed_point(a, b, p, e), (a, b, p, e)
 
 
 def test_f_at_e4_is_x_cubed():
@@ -121,9 +136,9 @@ def test_x_coordinate_nearly_additive(p, e):
         assert (x3 - x1 - x2) % p**floor == 0
 
 
-@pytest.mark.parametrize("p,e", [(5, 12), (7, 13)])
+@pytest.mark.parametrize("p,e", [(5, 12), (7, 13), (5, 40), (11, 25)])
 def test_f_puts_points_on_curve_past_e10(p, e):
-    # the closed form above stops at x^9; here the x^10 and x^11 terms count too
+    # the closed form above stops at x^9; here every term from x^10 up to x^(e-1) counts too
     r = random.Random(p**e)  # own stream: the curve must not depend on which tests ran first
     c = _random_curve(p, e, r)
     while c.a % p == 0:  # the x^11 coefficient is 2A^2; keep it a unit
