@@ -54,61 +54,6 @@ _WNAF_MIN_BITS = 24  # scalar_xyz's NAF ladder from here; below, it saves < 3 ad
 _WNAF_W5_BITS = 106  # its width is 5 from here, 4 below: where their mean additions cross
 
 
-def _non_residue(p: int) -> int:
-    """The least quadratic non-residue mod an odd prime p."""
-    return next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
-
-
-def _sqrt_mod_prime(a: int, p: int) -> int | None:
-    """A square root of a mod p (Tonelli-Shanks), or None for non-residues."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    m, c, t, r = s, pow(_non_residue(p), q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def _fp_root(a: int, b: int, x: int, p: int) -> int | None:
-    """A y with y^2 = x^3 + a x + b over F_p, or None when x has no point above it."""
-    return _sqrt_mod_prime((x * x * x + a * x + b) % p, p)
-
-
-def _hensel_lift(a: int, b: int, x: int, y: int, p: int, e: int) -> tuple[int, int]:
-    """Lift a point (x, y) of y^2 = x^3 + a x + b from F_p to Z/p^eZ.
-
-    Newton iteration at doubling precision corrects Y with X fixed,
-    Y <- Y + (rhs(X) - Y^2) / (2Y), while 2Y is a unit.  For 2-torsion
-    points (p | Y) the roles swap and X is corrected instead, 3X^2 + A
-    being a unit there on any nonsingular curve.
-    """
-    prec = 1
-    while prec < e:
-        prec = min(2 * prec, e)
-        m = p**prec
-        r = (x * x * x + a * x + b - y * y) % m
-        if y % p:
-            y = (y + r * pow(2 * y, -1, m)) % m
-        else:
-            x = (x - r * pow(3 * x * x + a, -1, m)) % m
-    return x, y
-
-
 class Curve:
     """E_{A,B}(Z/NZ) together with the constants the group law reuses."""
 

@@ -17,7 +17,7 @@ read a multiple over infinity through one test, _kernel_x.
 
 from __future__ import annotations
 
-from .curve import Curve, CurvePoint, _hensel_lift
+from .curve import Curve, CurvePoint
 from .errors import NotCyclic, ZnecError
 
 
@@ -93,8 +93,6 @@ def infinity_points(curve: Curve) -> list[CurvePoint]:
 def kernel_generator(curve: Curve) -> CurvePoint:
     """(p : 1 : f(p)), a generator of ker(E(Z/p^eZ) -> E(F_p)) of order p^(e-1)."""
     f = compute_f(curve)
-    if f.e == 1:
-        return curve.identity()
     return infinity_point(curve, f.p, f)
 
 
@@ -105,11 +103,31 @@ def _kernel_x(c: Curve, k: int, xyz: tuple[int, int, int]) -> int | None:
     return x if y == 1 and x % p == 0 and z % p == 0 else None
 
 
+def _hensel_lift(a: int, b: int, x: int, y: int, p: int, e: int) -> tuple[int, int]:
+    """Lift a point (x, y) of y^2 = x^3 + a x + b from F_p to Z/p^eZ.
+
+    Newton iteration at doubling precision corrects Y with X fixed,
+    Y <- Y + (rhs(X) - Y^2) / (2Y), while 2Y is a unit.  For 2-torsion
+    points (p | Y) the roles swap and X is corrected instead, 3X^2 + A
+    being a unit there on any nonsingular curve.
+    """
+    prec = 1
+    while prec < e:
+        prec = min(2 * prec, e)
+        m = p**prec
+        r = (x * x * x + a * x + b - y * y) % m
+        if y % p:
+            y = (y + r * pow(2 * y, -1, m)) % m
+        else:
+            x = (x - r * pow(3 * x * x + a, -1, m)) % m
+    return x, y
+
+
 def lift_point(c: Curve, point: CurvePoint, target: Curve) -> CurvePoint:
     """Hensel-lift a point of E(F_p) to a curve mod p^e that reduces to c.
 
     Newton iteration corrects Y with X fixed, or X with Y fixed for
-    2-torsion points (curve._hensel_lift).  O lifts to O.  p^e is read
+    2-torsion points (infinity._hensel_lift).  O lifts to O.  p^e is read
     from the target, whose coefficients may differ from c's by multiples
     of p.
     """

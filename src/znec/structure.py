@@ -7,13 +7,13 @@ its quadratic twist.  The count takes affine chord-and-tangent steps over
 F_p (_add_fp, None for O), not Curve's projective law.  Its shape
 Z/n1 + Z/n2 is proved one l-primary part at a time, by Weil pairings of
 the l-parts of drawn points, for each l with l^2 | |E(F_p)|, l | p-1 and
-l | t-2 (t the trace).  All points come from _draws, seeded by the curve;
-|E(F_p)| = p is certified by one point of order p.  The group splits
-over the prime-power components of N.  For a component p^e the fiber
-count gives |E(Z/p^eZ)| = p^(e-1) |E(F_p)|, and the structure is
-E(F_p) + Z/p^(e-1)Z except when |E(F_p)| = p (the anomalous case), where
-the component is either cyclic Z/p^eZ or F_p + Z/p^(e-1)Z, decided by
-Theta (infinity.theta) of one lifted order-p point: 0 exactly when split.
+l | t-2 (t the trace).  All points come from _draws, seeded by the curve,
+with y from _sqrt_mod_prime, the F_p square root (Tonelli-Shanks); one
+point of order p certifies |E(F_p)| = p.  Over each component p^e of N
+the fiber count gives |E(Z/p^eZ)| = p^(e-1) |E(F_p)|, and the structure
+is E(F_p) + Z/p^(e-1)Z except when |E(F_p)| = p (the anomalous case),
+where it is cyclic Z/p^eZ or F_p + Z/p^(e-1)Z, decided by Theta
+(infinity.theta) of one lifted order-p point: 0 exactly when split.
 classify() assembles the local pieces into an invariant factor chain.
 """
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import budgets
-from .curve import ADDITIONS, Curve, CurvePoint, _fp_root, _non_residue
+from .curve import ADDITIONS, Curve, CurvePoint
 from .errors import BudgetExceeded, NotAnomalous, SelfCheckFailed, ZnecError
 from .infinity import _kernel_x, lift_point, theta
 from .modring import factorize
@@ -278,6 +278,36 @@ def count_points_fp(c: Curve) -> int:
     return _count_fp(c.a, c.b, p)
 
 
+def _non_residue(p: int) -> int:
+    """The least quadratic non-residue mod an odd prime p."""
+    return next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int | None:
+    """A square root of a mod p (Tonelli-Shanks), or None for non-residues."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    m, c, t, r = s, pow(_non_residue(p), q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
 def _draws(p: int, *coeffs: tuple[int, int]):
     """Up to _DRAWS (i, (x, y, 1)) over F_p, the point on y^2 = x^3 + a x + b for (a, b) = coeffs[i].
 
@@ -295,7 +325,7 @@ def _draws(p: int, *coeffs: tuple[int, int]):
         i = draw % len(coeffs)
         a, b = coeffs[i]
         x = rng.randrange(p)
-        while (y := _fp_root(a, b, x, p)) is None:
+        while (y := _sqrt_mod_prime(x * x * x + a * x + b, p)) is None:
             x = rng.randrange(p)
         if y and rng.random() < 0.5:
             y = p - y

@@ -9,9 +9,9 @@ affine chord-tangent law cannot reach the points over infinity.
 
 import itertools
 
-from znec.curve import CurvePoint, _fp_root, _hensel_lift
+from znec.curve import CurvePoint
 from znec.errors import NotPrimePower
-from znec.infinity import compute_f, infinity_point, infinity_points
+from znec.infinity import _hensel_lift, compute_f, infinity_point, infinity_points
 from znec.modring import factorize
 from znec.structure import GroupStructure, _chain
 from oracles import crt_pairs
@@ -20,18 +20,20 @@ from oracles import crt_pairs
 def component_points(cp):
     """All points of a curve mod p^e, as canonical triples.
 
-    Every point sits over an F_p point: affine fibers are walked by
-    fixing one coordinate per residue class and Hensel-lifting the other
-    (the curve is nonsingular, so one partial derivative is a unit), and
-    the fiber over (0 : 1 : 0) is infinity_points.
+    Every point sits over an F_p point, found from a table of the
+    squares mod p rather than the library's square root: affine fibers
+    are walked by fixing one coordinate per residue class and
+    Hensel-lifting the other (the curve is nonsingular, so one partial
+    derivative is a unit), and the fiber over (0 : 1 : 0) is
+    infinity_points.
     """
     p, e = cp.modulus.as_prime_power()
+    roots = {}  # every y mod p, under its square
+    for y in range(p):
+        roots.setdefault(y * y % p, []).append(y)
     points = []
     for x0 in range(p):
-        y0 = _fp_root(cp.a, cp.b, x0, p)
-        if y0 is None:
-            continue
-        for y1 in (y0, p - y0) if y0 else (0,):
+        for y1 in roots.get((x0 * x0 * x0 + cp.a * x0 + cp.b) % p, ()):
             for t in range(p ** (e - 1)):
                 # walk the fiber along the coordinate the lift keeps fixed
                 x, y = (x0 + t * p, y1) if y1 else (x0, t * p)

@@ -328,7 +328,7 @@ def anomalous_type_by_multiple(c):
     and call the component split when p^(e-1) times the lift is O: the
     rule structure.anomalous_type used before it read Theta.
     """
-    from znec.curve import _hensel_lift
+    from znec.infinity import _hensel_lift
     from znec.structure import CYCLIC, SPLIT, _draws
 
     p, e = c.modulus.as_prime_power()

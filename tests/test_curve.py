@@ -476,9 +476,13 @@ def test_reduction_is_a_homomorphism():
     pts = [p for p in enumerate_points(c)]
     for m in (Modulus(5), Modulus(25), Modulus(7)):
         cm = c.reduced(m)
+        assert cm == new_curve(1, 1, m.n) and hash(cm) == hash(new_curve(1, 1, m.n))
         for _ in range(40):
             P, Q = rng.choice(pts), rng.choice(pts)
-            assert (P + Q).reduced(cm) == P.reduced(cm) + Q.reduced(cm)
+            R, S = (P + Q).reduced(cm), P.reduced(cm) + Q.reduced(cm)
+            assert R == S and hash(R) == hash(S)
+    with pytest.raises(ZnecError, match="11 does not divide 175"):
+        c.reduced(Modulus(11))
 
 
 def test_point_validation():

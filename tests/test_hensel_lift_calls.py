@@ -1,12 +1,13 @@
 """Only infinity.lift_point may Hensel-lift a point.
 
-``curve._hensel_lift`` takes raw coordinates and checks nothing: not
+``infinity._hensel_lift`` takes raw coordinates and checks nothing: not
 that the point lies on the curve mod p, nor that the target reduces to
 it.  ``infinity.lift_point`` does both, and every lift in the library
 (the DLP's, and the one ``structure.anomalous_type`` takes Theta of)
 goes through it.  This guard reads each module with ``ast`` and names
 every other use of ``_hensel_lift``.  Test-support modules
-(``tests/enumeration.py``, ``tests/test_output_pin.py``) may still call it.
+(``tests/enumeration.py``, ``tests/oracles.py``,
+``tests/test_output_pin.py``) may still call it.
 """
 
 import ast

@@ -34,6 +34,7 @@ def test_f_vanishes_below_degree_four(p, e):
     for _ in range(4):
         f = compute_f(_random_curve(p, e))
         assert f.coefficients() == (0,) * e
+        assert repr(f) == f"InfinityPolynomial(0 mod {p**e})"
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -64,6 +65,9 @@ def test_f_matches_the_fixed_point_iteration(p):
 def test_f_at_e4_is_x_cubed():
     c = _random_curve(7, 4)
     assert compute_f(c).coefficients() == (0, 0, 0, 1)
+    assert repr(compute_f(c)) == "InfinityPolynomial(1*x^3 mod 2401)"
+    c10 = new_curve(2, 3, 7**10, factorization=((7, 10),))
+    assert repr(compute_f(c10)) == "InfinityPolynomial(1*x^3 + 2*x^7 + 3*x^9 mod 282475249)"
 
 
 def test_f_is_odd():

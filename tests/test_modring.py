@@ -150,6 +150,7 @@ def test_modulus_validation():
     m = Modulus(45)
     assert m.factorization == ((3, 2), (5, 1))
     assert Modulus(45, ((3, 2), (5, 1))) == m
+    assert hash(Modulus(45, ((3, 2), (5, 1)))) == hash(m)
     with pytest.raises(ValueError):
         Modulus(45, ((3, 1), (5, 1)))
     with pytest.raises(ValueError):

@@ -19,7 +19,8 @@ digest.
 import hashlib
 import random
 
-from znec.curve import _hensel_lift, new_curve
+from znec.curve import new_curve
+from znec.infinity import _hensel_lift
 from znec.reference import DLP160_A, DLP160_B, DLP160_BASE, DLP160_P
 
 PRIMES = [p for p in range(5, 200) if all(p % d for d in range(2, p))]

@@ -266,13 +266,21 @@ def test_construct_pieces_roles():
     assert len(j["pieces"]) == 6
 
 
-def test_curve_of_order_p_outside_hasse():
+def test_curve_of_order_p_outside_hasse(monkeypatch):
     # 23 points over F_7 violates Hasse, and no search should start
     with pytest.raises(NoCurveOfOrderP):
         _curve_of_order_p(7, 23)
     a, b = _curve_of_order_p(7, 5)
     assert count_fp(a, b, 7) == 5
+    tried = 1
     for aa in range(a + 1):
         for bb in range(7 if aa < a else b):
             if (4 * aa**3 + 27 * bb**2) % 7 != 0:
                 assert count_fp(aa, bb, 7) != 5
+                tried += 1
+    # each nonsingular candidate is charged one count over F_7, 7 steps
+    monkeypatch.setenv("ZNEC_BUDGET", str(7 * tried))
+    assert _curve_of_order_p(7, 5) == (a, b)
+    monkeypatch.setenv("ZNEC_BUDGET", str(7 * tried - 1))
+    with pytest.raises(BudgetExceeded, match="order-5 search over F_7"):
+        _curve_of_order_p(7, 5)

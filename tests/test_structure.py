@@ -17,6 +17,7 @@ from znec.structure import (
     _count_cost,
     _count_shanks_mestre,
     _legendre_count,
+    _sqrt_mod_prime,
     anomalous_type,
     classify,
     count_points_fp,
@@ -319,6 +320,21 @@ def test_is_anomalous_agrees_with_the_count_on_every_curve(p):
                 assert is_anomalous(c) == (count_points_fp(c) == p), (a, b, p)
 
 
+def test_sqrt_mod_prime_matches_a_table_of_squares():
+    # every a mod p, 5 <= p < 200; p = 1 mod 8 takes more than one Tonelli-Shanks round
+    primes = [p for p in range(5, 200) if all(p % d for d in range(2, p))]
+    assert {17, 41, 73, 97, 113, 193} <= {p for p in primes if p % 8 == 1}
+    for p in primes:
+        squares = {y * y % p for y in range(p)}
+        for a in range(p):
+            r = _sqrt_mod_prime(a, p)
+            if a in squares:
+                assert r is not None and 0 <= r < p and r * r % p == a, (a, p, r)
+            else:
+                assert r is None, (a, p, r)
+        assert _sqrt_mod_prime(0, p) == 0
+
+
 def test_draws_take_the_curves_in_turn():
     p, coeffs = 100003, ((5, 8), (2, 7))
     curves = [new_curve(a, b, p) for a, b in coeffs]
@@ -500,6 +516,9 @@ def test_classify_prime_modulus_is_field_structure():
     n1, n2 = group_structure_fp(c).shape
     assert g.factors == tuple(d for d in (n2, n1) if d > 1)
     assert g.order == count_points_fp(c)
+    for field_only in (count_points_fp, group_structure_fp):  # a curve mod 5^2 is not over a field
+        with pytest.raises(ZnecError, match=r"prime modulus required, got 5\^2"):
+            field_only(new_curve(2, 4, 25))
 
 
 def test_classify_local_rank_bounds():

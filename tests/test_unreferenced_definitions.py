@@ -6,6 +6,11 @@ dead library code: it belongs in the tests that use it (as
 ``tests/enumeration.py`` holds ``invariant_factors`` and ``vp_int``).
 An import does not count as a use; ``tests/test_imports.py`` already
 rejects a name that is imported and never used.
+
+A private one (a name starting with ``_``) must also be read in its own
+module outside its own body: each private helper lives in the module
+that calls it (as ``_hensel_lift`` lives in ``infinity`` with
+``lift_point``), not in one that only defines it for another.
 """
 
 import ast
@@ -43,13 +48,35 @@ def _unreferenced(sources: dict[str, str], exported: set[str]) -> list[str]:
     return sorted(stray)
 
 
-def test_every_definition_has_a_library_caller():
+def _private_unread(sources: dict[str, str]) -> list[str]:
+    """'module._name' for each private top-level def or class its own module reads only in its own body."""
+    stray = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        here = _names(tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") and here[node.name] == _names(node)[node.name]:
+                stray.append(f"{module}.{node.name}")
+    return sorted(stray)
+
+
+def _library_sources() -> dict[str, str]:
     sources = {}
     for filename in sorted(os.listdir(SRC)):
         if filename.endswith(".py"):
             with open(os.path.join(SRC, filename)) as fh:
                 sources[filename[: -len(".py")]] = fh.read()
-    assert _unreferenced(sources, set(znec.__all__)) == []
+    return sources
+
+
+def test_every_definition_has_a_library_caller():
+    assert _unreferenced(_library_sources(), set(znec.__all__)) == []
+
+
+def test_every_private_definition_is_read_in_its_own_module():
+    assert _private_unread(_library_sources()) == []
 
 
 def test_guard_sees_a_stray_definition():
@@ -58,3 +85,19 @@ def test_guard_sees_a_stray_definition():
         "b": "from .a import stray, used\n\nclass Public:\n    x = used()\n",
     }
     assert _unreferenced(sources, {"Public"}) == ["a.stray"]
+
+
+def test_guard_sees_a_private_definition_read_elsewhere():
+    sources = {
+        "a": (
+            "def _kept(n):\n    return n\n\n"
+            "def _moved(n):\n    return n\n\n"
+            "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n\n"
+            "class _Counter:\n    pass\n\n"
+            "TOTAL = _Counter()\n\n"
+            "def public(n):\n    return _kept(n)\n"
+        ),
+        "b": "from .a import _moved, _recursive\n\ndef use(n):\n    return _moved(n) + _recursive(n)\n",
+    }
+    assert _private_unread(sources) == ["a._moved", "a._recursive"]
+    assert _unreferenced(sources, {"public", "use"}) == []
