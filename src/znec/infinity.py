@@ -73,10 +73,8 @@ def compute_f(curve: Curve) -> InfinityPolynomial:
     return InfinityPolynomial(curve, p, e, tuple(f))
 
 
-def infinity_point(curve: Curve, x: int, f: InfinityPolynomial | None = None) -> CurvePoint:
-    """The point (X : 1 : f(X)) for p | X."""
-    if f is None:
-        f = compute_f(curve)
+def infinity_point(curve: Curve, x: int, f: InfinityPolynomial) -> CurvePoint:
+    """The point (X : 1 : f(X)) for p | X, with f = compute_f(curve)."""
     x = int(x) % curve.n
     if x % f.p:
         raise ZnecError(f"{x} is not divisible by {f.p}")

@@ -6,15 +6,16 @@ interval with m P = O for every P drawn on E, and (2p + 2 - m) P = O on
 its quadratic twist.  The count takes affine chord-and-tangent steps over
 F_p (_add_fp, None for O), not Curve's projective law.  Its shape
 Z/n1 + Z/n2 is proved one l-primary part at a time, by Weil pairings of
-the l-parts of drawn points, for each l with l^2 | |E(F_p)|, l | p-1 and
-l | t-2 (t the trace).  All points come from _draws, seeded by the curve,
-with y from _sqrt_mod_prime, the F_p square root (Tonelli-Shanks); one
-point of order p certifies |E(F_p)| = p.  Over each component p^e of N
-the fiber count gives |E(Z/p^eZ)| = p^(e-1) |E(F_p)|, and the structure
-is E(F_p) + Z/p^(e-1)Z except when |E(F_p)| = p (the anomalous case),
-where it is cyclic Z/p^eZ or F_p + Z/p^(e-1)Z, decided by Theta
+the l-parts of drawn points, for each l with l^2 | |E(F_p)| and l | p-1.
+All points come from _draws, seeded by the curve, with y from
+_sqrt_mod_prime, the F_p square root (Tonelli-Shanks); one point of order
+p certifies |E(F_p)| = p.  Over each component p^e of N the fiber count
+gives |E(Z/p^eZ)| = p^(e-1) |E(F_p)|, and the structure is
+E(F_p) + Z/p^(e-1)Z except when |E(F_p)| = p (the anomalous case), where
+it is cyclic Z/p^eZ or F_p + Z/p^(e-1)Z, decided by Theta
 (infinity.theta) of one lifted order-p point: 0 exactly when split.
-classify() assembles the local pieces into an invariant factor chain.
+classify() merges the local cyclic orders into invariant factors by
+Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b).
 """
 
 from __future__ import annotations
@@ -104,15 +105,22 @@ class GroupStructure:
         }
 
 
-def _chain(pairs) -> tuple[int, ...]:
-    """The invariant factor chain of the sum of the Z/q^k, one (q, k) pair each."""
-    per_prime: dict[int, list[int]] = {}
-    for q, k in pairs:
-        per_prime.setdefault(q, []).append(k)
-    for exps in per_prime.values():
-        exps.sort(reverse=True)
-    depth = max((len(v) for v in per_prime.values()), default=0)
-    return tuple(math.prod(q ** e[j] for q, e in per_prime.items() if j < len(e)) for j in reversed(range(depth)))
+def _chain(orders) -> tuple[int, ...]:
+    """The invariant factors d1 | d2 | ... of the sum of the Z/d, one cyclic order d each.
+
+    Each d is folded down the chain, largest factor first, by
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b); what is left over joins the end.
+
+    >>> _chain([2, 4, 6])
+    (2, 2, 12)
+    """
+    chain: list[int] = []  # chain[i + 1] | chain[i]
+    for d in orders:
+        for i, big in enumerate(chain):
+            chain[i], d = math.lcm(big, d), math.gcd(big, d)
+        if d > 1:
+            chain.append(d)
+    return tuple(reversed(chain))
 
 
 @lru_cache(maxsize=64)
@@ -356,23 +364,23 @@ def group_structure_fp(c: Curve) -> FieldCurveData:
     """Shape (n1, n2) of E(F_p) = Z/n1 + Z/n2 with n2 | n1 and n2 | p-1.
 
     With l^a exactly dividing the order q, the l-part of n2 is cyclic
-    outright unless a >= 2, l | p-1 and l | t-2 (t the trace); no point
-    arithmetic is done for it.  Each such open l is proved on its own
-    (Miller, J. Cryptology 17, 2004), in one loop over the draws of
-    _draws, seeded by the curve: per point P, R = (q/l^a) P has order
-    l^b, found by steps of l.  lam, the largest such order, divides the
-    exponent l^(a-c) of the l-part, and mu, the largest order of the Weil
-    pairings e_lam(R, S) = (-1)^lam f_R(S) / f_S(R) against the
-    highest-order l-part S drawn before, divides l^c; so l is proved once
+    outright unless a >= 2 and l | p-1 (which gives l | t-2, as
+    t-2 = (p-1) - q for the trace t); no point arithmetic is done for it.
+    Each such open l is proved on its own (Miller, J. Cryptology 17,
+    2004), in one loop over the draws of _draws, seeded by the curve: per
+    point P, R = (q/l^a) P has order l^b, found by steps of l.  lam, the
+    largest such order, divides the exponent l^(a-c) of the l-part, and
+    mu, the largest order of the Weil pairings
+    e_lam(R, S) = (-1)^lam f_R(S) / f_S(R) against the highest-order
+    l-part S drawn before, divides l^c; so l is proved once
     lam * mu = l^a.  Every shape returned is proved: an l that runs out
     of draws raises SelfCheckFailed instead.
     """
     p = _require_prime(c)
     q = count_points_fp(c)
-    t = p + 1 - q
     n2 = 1
     for l, a in factorize(q):
-        if a < 2 or (p - 1) % l or (t - 2) % l:
+        if a < 2 or (p - 1) % l:
             continue
         la, lam, mu, s = l**a, 1, 1, None
         for _, pt in _draws(p, (c.a, c.b)):
@@ -399,7 +407,7 @@ def group_structure_fp(c: Curve) -> FieldCurveData:
         else:
             raise SelfCheckFailed(f"no Weil pairing certified the {l}-part of {c!r} in {_DRAWS} draws: lam {lam}, mu {mu}")
         n2 *= mu
-    return FieldCurveData(p, q, t, (q // n2, n2))
+    return FieldCurveData(p, q, p + 1 - q, (q // n2, n2))
 
 
 def _certified_anomalous(c: Curve, xyz: tuple[int, int, int]) -> bool:
@@ -468,29 +476,15 @@ def classify(c: Curve) -> GroupStructure:
     (13, 13)
     """
     locals_: list[LocalStructure] = []
-    pool: list[tuple[int, int]] = []  # (l, k) per cyclic factor Z/l^k
     for p, e in c.modulus.factorization:
         comp = c.component(p, e)
         field = group_structure_fp(comp.component(p, 1))
-        q, shape = field.order, field.shape
-        kernel_order = p ** (e - 1)
-        prime_to_p = tuple(d // p if d % p == 0 else d for d in shape)
-        prime_to_p = tuple(d for d in prime_to_p if d > 1)
-        if q % p == 0:
-            case = anomalous_type(comp)
-            if case == CYCLIC:
-                factors = prime_to_p + (p**e,)
-            else:
-                factors = prime_to_p + (p, kernel_order)
-        else:
-            case = NON_ANOMALOUS
-            factors = prime_to_p
-            if kernel_order > 1:
-                factors += (kernel_order,)
-        locals_.append(LocalStructure(p, e, case, q, factors))
-        for d in factors:
-            pool += factorize(d)
-    return GroupStructure(c.n, _chain(pool), tuple(locals_))
+        case = NON_ANOMALOUS if field.order % p else anomalous_type(comp)
+        p_part = (p, p ** (e - 1)) if case == SPLIT else (p ** (e - 1 + (case == CYCLIC)),)
+        prime_to_p = (d // p if d % p == 0 else d for d in field.shape)
+        factors = tuple(d for d in (*prime_to_p, *p_part) if d > 1)
+        locals_.append(LocalStructure(p, e, case, field.order, factors))
+    return GroupStructure(c.n, _chain(d for loc in locals_ for d in loc.factors), tuple(locals_))
 
 
 def phi_map(c: Curve, point: CurvePoint) -> tuple[CurvePoint, int]:

@@ -8,12 +8,13 @@ affine chord-tangent law cannot reach the points over infinity.
 """
 
 import itertools
+import math
 
 from znec.curve import CurvePoint
 from znec.errors import NotPrimePower
 from znec.infinity import _hensel_lift, compute_f, infinity_point, infinity_points
 from znec.modring import factorize
-from znec.structure import GroupStructure, _chain
+from znec.structure import GroupStructure
 from oracles import crt_pairs
 
 
@@ -84,14 +85,25 @@ def _elementary_divisors(comp, triples):
 def invariant_factors(prime_powers):
     """Reassemble elementary divisors into the invariant factor chain.
 
+    The exponents of each prime are sorted, largest first, and the j-th
+    largest factor is the product of every prime's j-th exponent.
+
     >>> invariant_factors([11, 13, 13, 11, 7])
     (143, 1001)
     """
-    factored = [(pp, factorize(pp)) for pp in prime_powers if pp != 1]
-    for pp, factors in factored:
+    per_prime = {}
+    for pp in prime_powers:
+        if pp == 1:
+            continue
+        factors = factorize(pp)
         if len(factors) != 1:
             raise NotPrimePower(f"elementary divisor {pp} is not a prime power")
-    return _chain(pair for _, (pair,) in factored)
+        ((q, k),) = factors
+        per_prime.setdefault(q, []).append(k)
+    for exps in per_prime.values():
+        exps.sort(reverse=True)
+    depth = max((len(v) for v in per_prime.values()), default=0)
+    return tuple(math.prod(q ** e[j] for q, e in per_prime.items() if j < len(e)) for j in reversed(range(depth)))
 
 
 def brute_force_structure(c):

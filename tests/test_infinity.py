@@ -102,7 +102,7 @@ def test_infinity_points_form_and_count(p, e):
 def test_infinity_point_rejects_unit_x():
     c = _random_curve(5, 3)
     with pytest.raises(ValueError):
-        infinity_point(c, 2)
+        infinity_point(c, 2, compute_f(c))
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])

@@ -1,5 +1,8 @@
+import ast
+import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -26,6 +29,7 @@ from znec.structure import (
     phi_map,
 )
 from znec.reference import DLP160_A, DLP160_B, DLP160_P
+import enumeration
 from enumeration import brute_force_structure, enumerate_points, invariant_factors
 from oracles import (
     affine_add,
@@ -57,6 +61,34 @@ def test_invariant_factors_reject_a_composite_entry():
     for entries in ([6], [5, 6, 25]):
         with pytest.raises(ZnecError, match=r"\b6\b"):
             invariant_factors(entries)
+
+
+def test_chain_matches_the_per_prime_regrouping():
+    # _chain folds whole orders by gcd/lcm; the oracle sorts each prime's exponents
+    r = random.Random(28)
+    seen = {"one": 0, "repeat": 0, "shared prime": 0}
+    for _ in range(3000):
+        values = [math.prod(l ** r.choice((0, 0, 1, 2, 3)) for l in (3, 5, 7)) for _ in range(4)]
+        orders = r.choices(values, k=r.randrange(9))
+        seen["one"] += 1 in orders
+        seen["repeat"] += len(set(orders)) < len(orders)
+        seen["shared prime"] += any(math.gcd(u, v) > 1 for u, v in itertools.combinations(set(orders), 2))
+        split = [q**k for d in orders if d > 1 for q, k in factorize(d)]
+        assert structure._chain(orders) == invariant_factors(split), orders
+    assert min(seen.values()) > 100, seen
+
+
+def test_enumeration_imports_no_private_name_from_structure():
+    # the brute-force oracle builds its own chain; it may still Hensel-lift with infinity._hensel_lift
+    tree = ast.parse(Path(enumeration.__file__).read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "znec.structure"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 37])
