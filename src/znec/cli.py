@@ -97,6 +97,8 @@ def _cmd_rank_bound(args) -> int:
 
 
 def _cmd_f_poly(args) -> int:
+    if args.e < 1:
+        raise ZnecError(f"e must be at least 1, got {args.e}")
     f = compute_f(new_curve(args.a, args.b, args.p**args.e, factorization=((args.p, args.e),)))
     if args.json:
         print(_dump({"p": str(args.p), "e": args.e, "coefficients": [str(c) for c in f.coefficients()]}))

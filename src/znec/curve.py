@@ -20,10 +20,10 @@ the raw sum is S + eps_T (T - S), eps_T the sum of the CRT idempotents of
 the primes that take T.  Each law is evaluated only when needed: S
 vanishes on a doubling, T is read where S is not.  Scaling to canonical
 form is left to projective.canonical_triple, which a scalar
-multiplication (double-and-add below 24 bits, a width-4 or width-5 NAF
-from there on) calls once, after its last addition.  There is no case
-split on the inputs, so points over infinity (Z not a unit) are handled
-by the same formulas as affine ones.
+multiplication (one signed-digit loop: the bits of k below 24 bits, a
+width-4 or width-5 NAF from there on) calls once, after its last
+addition.  There is no case split on the inputs, so points over
+infinity (Z not a unit) are handled by the same formulas as affine ones.
 """
 
 from __future__ import annotations
@@ -188,32 +188,28 @@ class Curve:
     def scalar_xyz(self, k: int, p: tuple[int, int, int]) -> tuple[int, int, int]:
         """k p from raw additions, canonical after the last one; k < 0 uses -p.
 
-        Double-and-add below _WNAF_MIN_BITS bits.  From there on a width-w
-        NAF (Hankerson-Menezes-Vanstone, Alg. 3.35) over the raw odd multiples
-        d p, 0 < d < 2^(w-1), and their negations; w = 5 from _WNAF_W5_BITS
-        bits, else 4.  Mean additions (binary, w = 4, w = 5): 27.0, 25.3, 28.1
-        at 19 bits; 34.5, 31.2, 34.0 at 24; 238.5, 194.4, 192.6 at 160.
+        One signed-digit loop, top digit first: the bits of k below _WNAF_MIN_BITS
+        bits, else a width-w NAF (Hankerson-Menezes-Vanstone, Alg. 3.35) over raw
+        odd multiples d p, 0 < d < 2^(w-1), and negations; w = 5 from _WNAF_W5_BITS
+        bits, else 4.  Mean additions (binary, w = 4, w = 5) at 19, 24 and 160 bits:
+        27.0, 25.3, 28.1; 34.5, 31.2, 34.0; 238.5, 194.4, 192.6.
         """
         if k < 0:
             k, p = -k, self.neg_xyz(p)
         if k == 0:
             return (0, 1, 0)
         if k.bit_length() < _WNAF_MIN_BITS:
-            acc = p
-            for bit in bin(k)[3:]:
-                acc = self.add_xyz(acc, acc, canonical=False)
-                if bit == "1":
-                    acc = self.add_xyz(acc, p, canonical=False)
-            return canonical_triple(*acc, self.modulus)
-        half = 8 if k.bit_length() < _WNAF_W5_BITS else 16  # 2^(w-1)
-        digits = []  # k = sum of digits[i] 2^i, each 0 or odd in (-half, half)
-        while k:
-            digits.append((k + half) % (2 * half) - half if k & 1 else 0)
-            k = (k - digits[-1]) >> 1
-        table, twice = [p], self.add_xyz(p, p, canonical=False)
-        while len(table) < half // 2:  # table[d >> 1] = d p for odd d
-            table.append(self.add_xyz(table[-1], twice, canonical=False))
-        table += [self.neg_xyz(q) for q in reversed(table)]
+            digits, table = [k >> i & 1 for i in range(k.bit_length())], [p]
+        else:
+            half = 8 if k.bit_length() < _WNAF_W5_BITS else 16  # 2^(w-1)
+            digits = []  # k = sum of digits[i] 2^i, each 0 or odd in (-half, half)
+            while k:
+                digits.append((k + half) % (2 * half) - half if k & 1 else 0)
+                k = (k - digits[-1]) >> 1
+            table, twice = [p], self.add_xyz(p, p, canonical=False)
+            while len(table) < half // 2:  # table[d >> 1] = d p for odd d
+                table.append(self.add_xyz(table[-1], twice, canonical=False))
+            table += [self.neg_xyz(q) for q in reversed(table)]
         acc = table[digits.pop() >> 1]
         for d in reversed(digits):
             acc = self.add_xyz(acc, acc, canonical=False)

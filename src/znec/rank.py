@@ -154,7 +154,7 @@ def _curve_of_order_p(q: int, p: int) -> tuple[int, int]:
             raise BudgetExceeded(f"order-{p} search over F_{q} passed {budget} operations")
         if _count_fp(a, b, q) == p:
             return a, b
-    raise NoCurveOfOrderP(q, p)
+    raise SelfCheckFailed(f"no curve over F_{q} has {p} points")  # Deuring: each order in the window occurs
 
 
 def _split_curve_mod_p2(p: int) -> tuple[int, int]:

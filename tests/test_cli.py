@@ -155,6 +155,8 @@ def test_budget_env_respected(capsys, monkeypatch):
         ("abc", ["dlp", "--p", "13", "--a", "1", "--b", "6", "--px", "2", "--py", "4", "--qx", "3", "--qy", "7"]),
         ("abc", ["rank-bound", "--p", "11"]),
         ("1000", ["structure", "--a", "1", "--b", "1", "--n", str((2**31 - 1) * (2**61 - 1))]),
+        (None, ["f-poly", "--a", "1", "--b", "1", "--p", "5", "--e", "0"]),
+        (None, ["f-poly", "--a", "1", "--b", "1", "--p", "5", "--e", "-1"]),
     ],
 )
 def test_precondition_failures_exit_2(capsys, monkeypatch, budget, argv):
@@ -165,6 +167,8 @@ def test_precondition_failures_exit_2(capsys, monkeypatch, budget, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"znec {argv[0]}: ") and err.count("\n") == 1
+    if argv[0] == "f-poly" and budget is None:  # e < 1 is named, not the modulus p^e it would build
+        assert err == f"znec f-poly: e must be at least 1, got {argv[-1]}\n"
 
 
 def test_failed_self_check_exits_3(capsys, monkeypatch):

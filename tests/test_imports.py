@@ -8,6 +8,10 @@ table and exempted, so the list cannot drift from the tracer.
 
 A relative import inside a function hides an import cycle between
 library modules; there is none.
+
+The group law (``curve``) and the ring arithmetic under it (``modring``,
+``projective``) are layers: other modules use their public names only, so
+a private helper there can change without a caller elsewhere noticing.
 """
 
 import ast
@@ -97,3 +101,34 @@ def test_guard_sees_a_function_level_import():
         "class K:\n    from . import e\n    def g(self):\n        import os\n        from . import h\n"
     )
     assert _function_imports(source) == ["f:4", "K.g:9"]
+
+
+LAYERS = {"curve", "modring", "projective"}
+
+
+def _private_layer_imports(source: str) -> list[str]:
+    """'module.name' for each underscore name imported from one of LAYERS."""
+    return [
+        f"{node.module.rsplit('.', 1)[-1]}.{alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.rsplit(".", 1)[-1] in LAYERS
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_no_module_imports_a_private_name_from_a_layer():
+    found = []
+    for filename in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
+        with open(os.path.join(SRC, filename)) as fh:
+            found += [f"{filename}: {name}" for name in _private_layer_imports(fh.read())]
+    assert found == []
+
+
+def test_guard_sees_a_private_name_imported_from_a_layer():
+    source = (
+        "from .curve import Curve, _AdditionCounter\n"
+        "from .structure import _draws\n"
+        "def f():\n    from znec.modring import _mod_sqrt, factorize\n"
+    )
+    assert _private_layer_imports(source) == ["curve._AdditionCounter", "modring._mod_sqrt"]

@@ -284,3 +284,11 @@ def test_curve_of_order_p_outside_hasse(monkeypatch):
     monkeypatch.setenv("ZNEC_BUDGET", str(7 * tried - 1))
     with pytest.raises(BudgetExceeded, match="order-5 search over F_7"):
         _curve_of_order_p(7, 5)
+
+
+def test_curve_of_order_p_walked_out_inside_hasse_fails(monkeypatch):
+    # every order in the Hasse window occurs over a prime field, so a walk
+    # that finds none is a fault of the code, not of the input
+    monkeypatch.setattr(rank, "_count_fp", lambda a, b, q: 0)
+    with pytest.raises(SelfCheckFailed, match=r"^no curve over F_7 has 5 points$"):
+        _curve_of_order_p(7, 5)

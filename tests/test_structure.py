@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from znec import modring, structure
+from znec import cli, modring, structure
 from znec.curve import ADDITIONS, Curve, new_curve
 from znec.errors import BudgetExceeded, NotAnomalous, SelfCheckFailed, ZnecError
+from znec.infinity import lift_point
 from znec.modring import factorize, is_prime
 from znec.structure import (
     CYCLIC,
@@ -183,6 +184,13 @@ def test_shanks_mestre_out_of_draws_names_the_candidates_left(monkeypatch):
     monkeypatch.setattr(structure, "_DRAWS", 1)
     with pytest.raises(SelfCheckFailed, match=r"candidates left \[289, 306, 323, 340\]$"):
         _count_shanks_mestre(0, 14, 307)
+
+
+def test_shanks_mestre_out_of_candidates_fails(monkeypatch):
+    # a BSGS that matches nothing empties the candidates at the first draw
+    monkeypatch.setattr(structure, "_bsgs", lambda *args: range(0))
+    with pytest.raises(SelfCheckFailed, match=r"could not pin \|E_\{1,1\}\(F_2003\)\|: candidates left \[\]$"):
+        _count_shanks_mestre(1, 1, 2003)
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -459,6 +467,14 @@ def test_field_structure_without_certificate_fails(monkeypatch):
         group_structure_fp(new_curve(0, 15, 157))
 
 
+def test_field_structure_with_a_pairing_that_does_not_die_fails(monkeypatch):
+    # f_S(R) = 2 and f_R(S) = 1 make e_13(R, S) = -2, and (-2)^13 = 129 mod 157
+    values = iter([2, 1])
+    monkeypatch.setattr(structure, "_miller", lambda *args: next(values))
+    with pytest.raises(SelfCheckFailed, match=r"^a Weil pairing on E_\{0,15\}\(Z/157\) does not die under 13$"):
+        group_structure_fp(new_curve(0, 15, 157))
+
+
 def _open_primes(p, q):
     """The l that the gcd bound leaves open: l^2 | q, l | p - 1 and l | t - 2."""
     t = p + 1 - q
@@ -705,11 +721,47 @@ def test_anomalous_type_agrees_with_the_order_of_the_lift():
     assert types == {CYCLIC, SPLIT}
 
 
+def test_split_lifts_are_the_zeros_of_an_affine_theta():
+    # for an anomalous base (a0, b0) and its first drawn point P, v(t) =
+    # X(p P_t) / p mod p, P_t the Hensel lift of P to E_{A, b0 + p t} mod p^2,
+    # is affine in t, and the lift is split exactly where v(t) = 0
+    cases = 0
+    for p in (q for q in range(5, 24) if is_prime(q)):
+        for a0, b0 in itertools.product(range(p), repeat=2):
+            if (4 * a0**3 + 27 * b0 * b0) % p == 0 or count_fp(a0, b0, p) != p:
+                continue
+            fp = new_curve(a0, b0, p)
+            point = fp.point(*next(structure._draws(p, (a0, b0)))[1])
+            for a in (a0, a0 + p):
+                v = []
+                for t in range(p):
+                    c = new_curve(a, b0 + p * t, p * p)
+                    x, y, z = c.scalar_xyz(p, lift_point(fp, point, c).xyz)
+                    assert (x % p, y, z) == (0, 1, 0), c  # over infinity
+                    v.append(x // p)
+                    assert (anomalous_type(c) == SPLIT) == (v[t] == 0), c
+                    cases += 1
+                assert all(v[t] == (v[0] + t * (v[1] - v[0])) % p for t in range(p)), (a, b0, p)
+    assert cases == 2580
+
+
 def test_anomalous_type_requires_p_dividing_field_order():
     with pytest.raises(NotAnomalous):
         anomalous_type(new_curve(1, 1, 25))  # 9 points over F_5
     assert anomalous_type(new_curve(3, 5, 25)) == CYCLIC
     assert anomalous_type(new_curve(3, 0, 25)) == SPLIT
+
+
+def test_anomalous_type_with_every_draw_dying_under_the_cofactor_fails(monkeypatch, capsys):
+    # E_{3,0}(F_5) has 10 points, and its 2-torsion point (0, 0) dies under the cofactor 2
+    monkeypatch.setattr(structure, "_draws", lambda p, *coeffs: ((0, (0, 0, 1)) for _ in range(structure._DRAWS)))
+    message = "40 points of E_{3,0}(Z/5) all die under the cofactor 2"
+    with pytest.raises(SelfCheckFailed) as info:
+        anomalous_type(new_curve(3, 0, 25))
+    assert str(info.value) == message
+    assert cli.main(["structure", "--a", "3", "--b", "0", "--n", "25"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"znec structure: self-check failed: {message}\n")
 
 
 def test_anomalous_type_respects_counting_budget(monkeypatch):
