@@ -410,26 +410,17 @@ def group_structure_fp(c: Curve) -> FieldCurveData:
     return FieldCurveData(p, q, p + 1 - q, (q // n2, n2))
 
 
-def _certified_anomalous(c: Curve, xyz: tuple[int, int, int]) -> bool:
-    """|E(F_p)| = p, certified by a point xyz != O of E(F_p) for p >= 7 and counted at p = 5.
-
-    For p >= 7 the Hasse interval lies inside (0, 2p), so a point of order
-    p certifies the count, and on an anomalous curve every point has pP = O.
-    At p = 5 the interval reaches 2p, and |E| = 10 has order-5 points too.
-    """
-    p = _require_prime(c)
-    if p >= 7:
-        return c.scalar_xyz(p, xyz) == (0, 1, 0)
-    return count_points_fp(c) == p
-
-
 def is_anomalous(c: Curve) -> bool:
     """True iff |E(F_p)| = p (trace 1): p times the first drawn point is O.
 
-    One scalar multiplication at any size of p; over F_5 the points are counted.
+    For p >= 7 the Hasse interval lies inside (0, 2p), so P != O with pP = O
+    proves it with one scalar multiplication at any size of p; over F_5,
+    where |E| = 10 has order-5 points too, the points are counted.
     """
     p = _require_prime(c)  # before drawing, which assumes a prime modulus
-    return _certified_anomalous(c, next(_draws(p, (c.a, c.b)))[1])
+    if p < 7:
+        return count_points_fp(c) == p
+    return c.scalar_xyz(p, next(_draws(p, (c.a, c.b)))[1]) == (0, 1, 0)
 
 
 def anomalous_type(c: Curve) -> str:

@@ -14,6 +14,7 @@ from znec.errors import (
 from znec.infinity import kernel_generator
 from znec.structure import CYCLIC, anomalous_type, count_points_fp, is_anomalous
 from enumeration import enumerate_points
+from oracles import ladder_additions
 
 rng = random.Random(0xD109)
 
@@ -198,6 +199,41 @@ def test_p5_certificate_needs_exact_count():
     raise AssertionError("no order-10 curve over F_5 found")
 
 
+@pytest.mark.parametrize("p", [7, 11, 13, 17])
+def test_lift_certificate_agrees_with_the_count(p):
+    # pP^ over infinity mod p^2 is the instance's only test for p >= 7;
+    # it must reject exactly the curves that do not have p points
+    for a in range(p):
+        for b in range(p):
+            if (4 * a**3 + 27 * b**2) % p == 0:
+                continue
+            c = new_curve(a, b, p)
+            anomalous = count_points_fp(c) == p
+            for P in enumerate_points(c):
+                if P.is_identity():
+                    continue
+                try:
+                    dlp.DlpInstance(c, P, P)
+                except NotAnomalous:
+                    assert not anomalous, (a, b, P)
+                else:
+                    assert anomalous, (a, b, P)
+
+
+def test_not_anomalous_names_its_witness():
+    c = new_curve(1, 1, 13)
+    P = c.point(1, 4)
+    with pytest.raises(NotAnomalous, match="13") as err:
+        dlp.DlpInstance(c, P, P)
+    assert "p·P̃ not over infinity mod p²" in str(err.value) and str(P) in str(err.value)
+    c = new_curve(3, 0, 5)  # |E(F_5)| = 10, so 5P = O for the points of order 5
+    assert count_points_fp(c) == 10
+    P = next(pt for pt in enumerate_points(c) if not pt.is_identity() and (5 * pt).is_identity())
+    with pytest.raises(NotAnomalous, match="count ≠ p at p = 5") as err:
+        dlp.DlpInstance(c, P, P)
+    assert str(P) in str(err.value)
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_solve_exhaustive_small(p):
     a, b = ANOMALOUS[p]
@@ -216,6 +252,16 @@ def test_solve_160bit_roundtrip():
         ADDITIONS.reset()
         assert dlp.solve_anomalous_dlp(dlp.DlpInstance(c, P, k * P)) == k % P160
         assert ADDITIONS.value < 2000  # O(log p) group operations
+
+
+def test_bundled_solve_makes_three_ladders():
+    # the instance's lift certificate is the solve's first Theta: one ladder
+    # by p mod p^2 for the base, one for the target, one by N for the check
+    c = _curve160()
+    ADDITIONS.reset()
+    assert dlp.solve_anomalous_dlp(dlp.DlpInstance(c, c.point(PX160, PY160), c.point(QX160, QY160))) == N160
+    assert ADDITIONS.value == 2 * ladder_additions(P160, 24, 106) + ladder_additions(N160, 24, 106) == 554
+    assert ADDITIONS.value < 2000
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
@@ -262,6 +308,7 @@ def test_solve_reuses_the_instance_prime(monkeypatch):
     assert dlp.solve_anomalous_dlp(inst) == N160
     moduli = []
     monkeypatch.setattr(dlp, "theta", lambda curve, pt: moduli.append(curve.modulus) or 0)
+    inst = dlp.DlpInstance(c, c.point(PX160, PY160), c.point(QX160, QY160))
     with pytest.raises(LiftRetryExhausted):
         dlp.solve_anomalous_dlp(inst)
     assert tested == []
