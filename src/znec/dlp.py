@@ -35,9 +35,7 @@ class DlpInstance:
 
     def __post_init__(self):
         c = self.curve
-        p, e = c.modulus.as_prime_power()
-        if e != 1:
-            raise ZnecError(f"instance curve must be mod a prime, got {c.n}")
+        p = c.modulus.as_prime()
         base = c._xyz(self.base)
         tgt = c._xyz(self.target)
         if base == (0, 1, 0):
@@ -55,7 +53,7 @@ class DlpInstance:
 
     @property
     def p(self) -> int:
-        return self.curve.modulus.as_prime_power()[0]
+        return self.curve.modulus.as_prime()
 
 
 def solve_anomalous_dlp(instance: DlpInstance) -> int:

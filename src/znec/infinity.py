@@ -129,9 +129,7 @@ def lift_point(c: Curve, point: CurvePoint, target: Curve) -> CurvePoint:
     from the target, whose coefficients may differ from c's by multiples
     of p.
     """
-    p, k = c.modulus.as_prime_power()
-    if k != 1:
-        raise ZnecError(f"lift source must be mod a prime, got {c.n}")
+    p = c.modulus.as_prime()
     if not isinstance(target, Curve) or target.n % p or target.reduced(c.modulus) != c:
         raise ZnecError(f"{target!r} does not reduce to {c!r}")
     e = target.modulus.as_prime_power()[1]

@@ -14,7 +14,7 @@ import math
 from functools import lru_cache
 
 from . import budgets
-from .errors import BudgetExceeded, NotPrimePower, ZnecError
+from .errors import NotPrimePower, ZnecError
 
 # Miller-Rabin witnesses: the primes up to 41 are exact below _MR_EXACT
 # (Sorenson-Webster); without 41 the composite 318665857834031151167461
@@ -30,7 +30,7 @@ _MR_PSI = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (21523028987
 
 @lru_cache(maxsize=1)
 def _small_primes() -> tuple[int, ...]:
-    """Primes below 10^4 by sieve, for trial division and Hasse windows."""
+    """Primes below 10^4 by sieve, for trial division and the exponents of _perfect_power."""
     limit = 10_000
     sieve = bytearray([1]) * limit
     sieve[0] = sieve[1] = 0
@@ -143,17 +143,12 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
 
 def _pollard_rho(n: int) -> int:
     """Brent-cycle Pollard rho; a nontrivial factor of composite odd n within the rho budget."""
-    if n % 2 == 0:
-        return 2
-    budget = budgets.resolve(budgets.RHO_STEPS)
-    spent = 0
+    meter = budgets.Meter(budgets.resolve(budgets.RHO_STEPS), f"Pollard rho on {n}")
     for c in itertools.count(1):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
-            spent += 2 * r
-            if spent > budget:
-                raise BudgetExceeded(f"Pollard rho on {n} passed its budget of {budget} steps")
+            meter.charge(2 * r)
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -198,8 +193,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
@@ -265,6 +258,13 @@ class Modulus:
         if len(self.factorization) != 1:
             raise NotPrimePower(f"{self.n} is not a prime power")
         return self.factorization[0]
+
+    def as_prime(self) -> int:
+        """p, for a modulus that is a prime p."""
+        p, e = self.as_prime_power()
+        if e != 1:
+            raise ZnecError(f"prime modulus required, got {p}^{e}")
+        return p
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Modulus) and self.n == other.n

@@ -73,9 +73,8 @@ def hasse_primes(p: int) -> tuple[int, ...]:
     """
     if not is_prime(p):
         raise ZnecError(f"{p} is not prime")
-    radius = math.isqrt(4 * p) + 1
-    lo = max(2, p + 1 - radius)
-    return tuple(q for q in range(lo, p + 2 + radius) if (q - p - 1) ** 2 <= 4 * p and is_prime(q))
+    w = math.isqrt(4 * p)
+    return tuple(q for q in range(p + 1 - w, p + 2 + w) if is_prime(q))
 
 
 def chi_candidates(p: int) -> tuple[int, ...]:
@@ -144,14 +143,12 @@ def _curve_of_order_p(q: int, p: int) -> tuple[int, int]:
     """Lex-smallest (A, B) over F_q with exactly p points."""
     if (p - q - 1) ** 2 > 4 * q:
         raise NoCurveOfOrderP(q, p)
-    budget = budgets.resolve(budgets.CURVE_SEARCH)
-    cost, spent = _count_cost(q), 0
+    meter = budgets.Meter(budgets.resolve(budgets.CURVE_SEARCH), f"order-{p} search over F_{q}")
+    cost = _count_cost(q)
     for a, b in itertools.product(range(q), repeat=2):
         if (4 * a * a * a + 27 * b * b) % q == 0:
             continue
-        spent += cost
-        if spent > budget:
-            raise BudgetExceeded(f"order-{p} search over F_{q} passed {budget} operations")
+        meter.charge(cost)
         if _count_fp(a, b, q) == p:
             return a, b
     raise SelfCheckFailed(f"no curve over F_{q} has {p} points")  # Deuring: each order in the window occurs
@@ -163,16 +160,13 @@ def _split_curve_mod_p2(p: int) -> tuple[int, int]:
     Per row A, B runs up over B0 + p t for the anomalous E_{A,B0}(F_p), each
     candidate charged p; one Modulus proves p for them all.
     """
-    budget = budgets.resolve(budgets.CURVE_SEARCH)
-    spent = 0
+    meter = budgets.Meter(budgets.resolve(budgets.CURVE_SEARCH), f"split search mod {p}^2")
     mod = Modulus(p * p, ((p, 2),))
     for a in range(p * p):
         a0 = a % p
         bases = [b0 for b0 in range(p) if (4 * a0**3 + 27 * b0 * b0) % p and _count_fp(a0, b0, p) == p]
         for t, b0 in itertools.product(range(p), bases):
-            spent += p
-            if spent > budget:
-                raise BudgetExceeded(f"split search mod {p}^2 passed {budget} operations")
+            meter.charge(p)
             if anomalous_type(Curve(a, b0 + p * t, mod)) == SPLIT:
                 return a, b0 + p * t
     raise SelfCheckFailed(f"no anomalous curve mod {p}^2 has a split lift")  # split lifts exist for every base

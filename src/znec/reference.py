@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import ADDITIONS, new_curve, point_order
+from .curve import ADDITIONS, Curve, new_curve, point_order
 from .dlp import DlpInstance, solve_anomalous_dlp
 from .infinity import lift_point, theta
 from .rank import chi_p, construct_max_rank_curve, rank_bound
@@ -91,7 +91,7 @@ def verify_all() -> list[tuple[str, bool, str]]:
     base = c.point(*DLP160_BASE)
     target = c.point(*DLP160_TARGET)
     check(f"|E(F_p)| = p certificate (160-bit)", c.scalar_xyz(DLP160_P, base.xyz), (0, 1, 0))
-    lifted = new_curve(DLP160_A, DLP160_B, DLP160_P**2, factorization=((DLP160_P, 2),))
+    lifted = Curve(DLP160_A, DLP160_B, c.modulus.component(DLP160_P, 2))
     check(
         "Theta of lifted base point",
         theta(lifted, lift_point(c, base, lifted)),

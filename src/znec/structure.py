@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from . import budgets
 from .curve import ADDITIONS, Curve, CurvePoint
-from .errors import BudgetExceeded, NotAnomalous, SelfCheckFailed, ZnecError
+from .errors import NotAnomalous, SelfCheckFailed, ZnecError
 from .infinity import _kernel_x, lift_point, theta
 from .modring import factorize
 
@@ -258,13 +258,6 @@ def _count_fp(a: int, b: int, p: int) -> int:
     return _count_shanks_mestre(a, b, p) if p > _CROSSOVER else _legendre_count(a, b, p)
 
 
-def _require_prime(c: Curve) -> int:
-    p, e = c.modulus.as_prime_power()
-    if e != 1:
-        raise ZnecError(f"prime modulus required, got {p}^{e}")
-    return p
-
-
 def _count_cost(p: int) -> int:
     """One count over F_p: p steps for the sum, the baby and giant steps of every draw above _CROSSOVER.
 
@@ -279,10 +272,8 @@ def count_points_fp(c: Curve) -> int:
     Refuses, before any work, a count whose _count_cost passes the
     counting budget.
     """
-    p = _require_prime(c)
-    budget = budgets.resolve(budgets.COUNT_FIELD_POINTS)
-    if (cost := _count_cost(p)) > budget:
-        raise BudgetExceeded(f"counting over F_{p} costs {cost}, over the counting budget {budget}")
+    p = c.modulus.as_prime()
+    budgets.Meter(budgets.resolve(budgets.COUNT_FIELD_POINTS), f"counting over F_{p}").charge(_count_cost(p))
     return _count_fp(c.a, c.b, p)
 
 
@@ -376,7 +367,7 @@ def group_structure_fp(c: Curve) -> FieldCurveData:
     lam * mu = l^a.  Every shape returned is proved: an l that runs out
     of draws raises SelfCheckFailed instead.
     """
-    p = _require_prime(c)
+    p = c.modulus.as_prime()
     q = count_points_fp(c)
     n2 = 1
     for l, a in factorize(q):
@@ -417,7 +408,7 @@ def is_anomalous(c: Curve) -> bool:
     proves it with one scalar multiplication at any size of p; over F_5,
     where |E| = 10 has order-5 points too, the points are counted.
     """
-    p = _require_prime(c)  # before drawing, which assumes a prime modulus
+    p = c.modulus.as_prime()  # before drawing, which assumes a prime modulus
     if p < 7:
         return count_points_fp(c) == p
     return c.scalar_xyz(p, next(_draws(p, (c.a, c.b)))[1]) == (0, 1, 0)

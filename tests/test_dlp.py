@@ -87,6 +87,15 @@ def test_lift_point_identity_and_validation():
         dlp.lift_point(c, c.point(1, 4), new_curve(1, 1, 25))
 
 
+
+def test_prime_field_entry_points_name_the_prime_power():
+    c = new_curve(3, 2, 25)
+    with pytest.raises(ZnecError, match=r"^prime modulus required, got 5\^2$"):
+        dlp.DlpInstance(c, c.identity(), c.identity())
+    with pytest.raises(ZnecError, match=r"^prime modulus required, got 5\^2$"):
+        dlp.lift_point(c, c.identity(), new_curve(3, 2, 125))
+
+
 def test_lift_point_two_torsion_branch():
     # E_{1,0}(F_5) has the 2-torsion point (2, 0); lift on X instead of Y
     c = new_curve(1, 0, 5)

@@ -162,6 +162,14 @@ def test_modulus_validation():
     assert Modulus(25, ((5, 2),)).as_prime_power() == (5, 2)
 
 
+def test_as_prime_is_the_prime_modulus_check():
+    assert Modulus(13).as_prime() == 13
+    with pytest.raises(ZnecError, match=r"^prime modulus required, got 5\^2$"):
+        Modulus(25).as_prime()
+    with pytest.raises(NotPrimePower):
+        Modulus(45).as_prime()
+
+
 def test_component_reuses_the_prime_its_modulus_proved(monkeypatch):
     # Modulus.component builds p^e for a prime p of its own factorization,
     # at any exponent, from the proof it already holds
