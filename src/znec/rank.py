@@ -74,12 +74,7 @@ def hasse_primes(p: int) -> tuple[int, ...]:
     if not is_prime(p):
         raise ZnecError(f"{p} is not prime")
     w = math.isqrt(4 * p)
-    return tuple(q for q in range(p + 1 - w, p + 2 + w) if is_prime(q))
-
-
-def chi_candidates(p: int) -> tuple[int, ...]:
-    """The prime members of {p^2 - p + 1, p^2 + p + 1} (at most one for p > 3)."""
-    return tuple(q for q in (p * p - p + 1, p * p + p + 1) if is_prime(q))
+    return tuple(q for q in range(p + 1 - w, p + 2 + w) if q == p or is_prime(q))
 
 
 def chi_p(p: int) -> tuple[int, tuple[int, int, int] | None]:
@@ -94,10 +89,18 @@ def chi_p(p: int) -> tuple[int, tuple[int, int, int] | None]:
     counting budget (BudgetExceeded when one does not fit); its shape
     (p, p) is certified, not assumed.
     """
-    if p < 5 or not is_prime(p):
+    return _chi(p, is_prime(p))
+
+
+def _chi(p: int, prime: bool) -> tuple[int, tuple[int, int, int] | None]:
+    """chi_p(p), once the caller has decided whether p is prime; each q is proved once, as F_q's Modulus."""
+    if p < 5 or not prime:
         raise ZnecError(f"p must be a prime >= 5, got {p}")
-    for q in chi_candidates(p):
-        fq = Modulus(q, ((q, 1),))
+    for q in (p * p - p + 1, p * p + p + 1):
+        try:
+            fq = Modulus(q, ((q, 1),))
+        except ZnecError:  # q is not prime
+            continue
         twists: dict[int, int] = {}  # sextic class -> least B in it
         b = 0
         while len(twists) < 6:
@@ -119,12 +122,12 @@ def rank_bound(p: int) -> RankBoundReport:
 
     chi_p = 2 is decided by primality alone.  When one of the witness's
     at most six counts passes the counting budget (with the default, only
-    for p above about 3.9e9) the bound still holds with chi_p = 2, and
+    for p above about 7.8e9) the bound still holds with chi_p = 2, and
     the report says the witness is missing with status "assumed".
     """
-    primes = hasse_primes(p)
+    primes = hasse_primes(p)  # proves p
     try:
-        chi, witness = chi_p(p)
+        chi, witness = _chi(p, True)
         status = CHI_WITNESSED if chi else CHI_ABSENT
     except BudgetExceeded:
         chi, witness, status = 2, None, CHI_ASSUMED

@@ -3,8 +3,9 @@
 |E(F_p)| is counted exactly, by a Legendre-symbol sum for small p and,
 above a measured crossover, by Shanks-Mestre: the only m in the Hasse
 interval with m P = O for every P drawn on E, and (2p + 2 - m) P = O on
-its quadratic twist.  The count takes affine chord-and-tangent steps over
-F_p (_add_fp, None for O), not Curve's projective law.  Its shape
+its quadratic twist (even m only, for a non-square discriminant).  The
+count takes affine chord-and-tangent steps over F_p (_add_fp, None for
+O), not Curve's projective law.  Its shape
 Z/n1 + Z/n2 is proved one l-primary part at a time, by Weil pairings of
 the l-parts of drawn points, for each l with l^2 | |E(F_p)| and l | p-1.
 All points come from _draws, seeded by the curve, with y from
@@ -37,8 +38,8 @@ SPLIT = "split"
 
 # _count_fp sums Legendre symbols up to _CROSSOVER.  Per count, 200 curves per
 # p on one CPU (Python 3.11, shared 2-vCPU Xeon): at p = 2003 the sum takes
-# 0.41 ms and the affine Shanks-Mestre 0.08 ms (0.13 ms with projective steps);
-# they cross near p = 400 (0.07 ms each at p = 401).  Moving the constant
+# 0.33 ms and the affine Shanks-Mestre 0.05 ms; they cross between p = 233
+# (0.031 and 0.037 ms) and p = 401 (0.057 and 0.042 ms).  Moving the constant
 # changes what _count_cost charges, and so what rank admits under its budget.
 # _draws yields _DRAWS points at most per count, per l-part or per anomalous component
 _CROSSOVER = 2000
@@ -188,15 +189,22 @@ def _mul_fp(a: int, p: int, k: int, pt: tuple[int, int]) -> tuple[int, int] | No
     return acc
 
 
-def _bsgs(a: int, p: int, g: tuple[int, int] | None, target: tuple[int, int] | None, count: int) -> range:
-    """Every k < count with k g = target on E(F_p), as a range k0 + d Z cut to [0, count), d the order of g.
+def _bsgs(a: int, p: int, pt: tuple[int, int], n0: int, step: int, count: int) -> range:
+    """Every k < count with (n0 + k step) pt = O on E(F_p), as a range k0 + d Z cut to [0, count).
 
-    Points are affine, None for O.  Baby steps j g, 0 <= j <= s, are keyed
-    by x (None for O) and keep y, so one giant step target - i (2s + 1) g
-    matches k = i (2s + 1) +- j (Shanks).  A repeated baby key gives
-    d <= 2s + 1, and one lookup of target the matches; otherwise the first
-    two hits give d, and a single hit over the whole range is the only match.
+    Points are affine, None for O; d is the order of g = step pt, and with
+    n0 = m step + rho the matches are the k with (m + k) g = -rho pt.  Baby
+    steps j g, 0 <= j <= s, are keyed by x (None for O) and keep y, so a
+    giant step -rho pt - (m + i) g matches k = i +- j (Shanks).  A repeated
+    baby key gives d <= 2s + 1, and one lookup of -rho pt the matches;
+    otherwise the first two hits give d, and a single hit over the whole
+    range is the only match.  With m = q (2s + 1) + r - s, 0 <= r <= 2s,
+    the first giant step, at i = s - r, is -rho pt - q G for the stride
+    G = (2s + 1) g: a ladder by q, not by n0.
     """
+    g = _mul_fp(a, p, step, pt)
+    m, rho = divmod(n0, step)
+    minus_rho = _mul_fp(a, p, -rho, pt)
     s = math.isqrt(count // 2) + 1
     baby: dict[int | None, tuple[int, int | None]] = {}  # x of j g -> (j, y)
     prev, acc = None, None
@@ -206,17 +214,21 @@ def _bsgs(a: int, p: int, g: tuple[int, int] | None, target: tuple[int, int] | N
         x, y = acc or (None, None)
         if (seen := baby.get(x)) is not None:  # j g = +-j' g, so d = j -+ j'
             d = j - seen[0] if seen[1] == y else j + seen[0]
-            tx, ty = target or (None, None)
+            tx, ty = minus_rho or (None, None)
             if (hit := baby.get(tx)) is None:
                 return range(0)
-            return range((hit[0] if hit[1] == ty else -hit[0]) % d, count, d)
+            return range(((hit[0] if hit[1] == ty else -hit[0]) - m) % d, count, d)
         if j <= s:
             baby[x] = j, y
     x, y = _add_fp(a, p, prev, acc)  # (2s + 1) g != O, else (s + 1) g = -s g repeated a key
     stride = x, -y % p
+    q, r = divmod(m + s, 2 * s + 1)
+    target = _mul_fp(a, p, -q, (x, y))
+    if rho:
+        target = _add_fp(a, p, target, minus_rho)
     hits = []
-    for i in range(0, count + s, 2 * s + 1):
-        if i:
+    for i in range(s - r, count + s, 2 * s + 1):
+        if i > s - r:
             target = _add_fp(a, p, target, stride)
         tx, ty = target or (None, None)
         if (hit := baby.get(tx)) is not None:
@@ -232,19 +244,21 @@ def _count_shanks_mestre(a: int, b: int, p: int) -> int:
     Points are drawn alternately on E and on its twist E' by a non-residue;
     on E' a candidate m asks (2p + 2 - m) P = O.  The candidates start as
     the Hasse interval and stay a range that each draw cuts to its BSGS
-    matches.  One left is proved (Mestre; Schoof 1995 for p > 229).  The
-    count is plain integer arithmetic on (a, b, p): affine chord-and-tangent
-    steps over F_p (_add_fp), on points that _draws finds for both (a, b).
+    matches.  One left is proved (Mestre; Schoof 1995 for p > 229).  If
+    -(4a^3 + 27b^2) is a non-square, x^3 + a x + b has one root in F_p
+    (Stickelberger), so E and E' have a point of order 2: m is even.  The
+    count is plain integer arithmetic on (a, b, p): affine steps over F_p
+    (_add_fp), on points that _draws finds for both (a, b).
     """
     u = _non_residue(p)
     sides = ((a % p, b % p), (a * u * u % p, b * u * u * u % p))
     w = math.isqrt(4 * p)
-    cands = range(p + 1 - w, p + 2 + w)
+    lo, parity = p + 1 - w, 2 if pow(-(4 * a**3 + 27 * b * b), (p - 1) // 2, p) == p - 1 else 1
+    cands = range(lo + lo % parity, p + 2 + w, parity)
     for i, (x, y, _) in _draws(p, *sides):
         # on the twist the candidates m count down as 2p + 2 - m
         n0, step = (cands[0], cands.step) if i == 0 else (2 * p + 2 - cands[0], -cands.step)
-        ai = sides[i][0]
-        ks = _bsgs(ai, p, _mul_fp(ai, p, step, (x, y)), _mul_fp(ai, p, -n0, (x, y)), len(cands))
+        ks = _bsgs(sides[i][0], p, (x, y), n0, step, len(cands))
         cands = cands[ks.start : ks.stop : ks.step]
         if len(cands) == 1:
             return cands[0]
@@ -259,11 +273,17 @@ def _count_fp(a: int, b: int, p: int) -> int:
 
 
 def _count_cost(p: int) -> int:
-    """One count over F_p: p steps for the sum, the baby and giant steps of every draw above _CROSSOVER.
+    """One count over F_p: p steps for the sum; above _CROSSOVER, _DRAWS times one draw's bound.
 
-    The two O(log p) ladders per draw that build the BSGS inputs are not charged.
+    With w = isqrt(4p), a draw's _bsgs has count <= 2w + 1, |step| <= 2w and
+    0 < n0 <= p + 1 + w.  Baby steps take s + 1 and giant steps at most s,
+    s = isqrt(count // 2) + 1 <= isqrt(w) + 1.  A ladder by k takes at most
+    2 (bitlen(k) - 1) steps: by step and q together at most 2 bitlen(p), as
+    |step q| <= n0 + |step| < 2p; by rho, |rho| < |step|, 2 bitlen(w); one
+    more step adds rho pt to the start.
     """
-    return p if p <= _CROSSOVER else _DRAWS * 2 * (math.isqrt(2 * math.isqrt(4 * p)) + 1)
+    w = math.isqrt(4 * p)
+    return p if p <= _CROSSOVER else _DRAWS * (2 * math.isqrt(w) + 4 + 2 * (p.bit_length() + w.bit_length()))
 
 
 def count_points_fp(c: Curve) -> int:

@@ -148,22 +148,25 @@ def field_group_invariants(a, b, p):
     return invariant_factors_from_orders(orders)
 
 
-def shanks_mestre_by_orders(a, b, p, draws=40):
+def shanks_mestre_by_orders(a, b, p, draws=40, parity=False):
     """(|E(F_p)|, draws made) by Mestre's rule on point orders; (None, draws made) when it fails.
 
     lam_E and lam_T are the lcms of the orders of the points drawn on E
     and on its twist by the least non-residue u, and the count is proved
     once a single m in the Hasse interval has lam_E | m and
-    lam_T | 2p + 2 - m.  The points are the ones structure._draws
-    draws from Random(f"{a} {b} {p}"), alternately on E and the twist, up
-    to the sign of y, which no order sees; orders come from repeated
-    addition.
+    lam_T | 2p + 2 - m.  With parity, lam_E starts at 2 when
+    x^3 + a x + b has exactly one root in F_p, found by trying every x:
+    then E has a point of order 2.  The points are the ones
+    structure._draws draws from Random(f"{a} {b} {p}"), alternately on E
+    and the twist, up to the sign of y, which no order sees; orders come
+    from repeated addition.
     """
     rng = random.Random(f"{a} {b} {p}")
     u = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
     sides = ((a % p, b % p), (a * u * u % p, b * u**3 % p))
     w = math.isqrt(4 * p)
-    lam = [1, 1]
+    roots = sum(1 for x in range(p) if (x**3 + a * x + b) % p == 0) if parity else None
+    lam = [2 if roots == 1 else 1, 1]  # one root: a point of order 2 on E
     for draw in range(draws + 1):
         cands = [m for m in range(p + 1 - w, p + 2 + w) if m % lam[0] == 0 and (2 * p + 2 - m) % lam[1] == 0]
         if len(cands) == 1:

@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 
 from znec import modring, rank
@@ -9,7 +11,6 @@ from znec.rank import (
     CHI_WITNESSED,
     _curve_of_order_p,
     _split_curve_mod_p2,
-    chi_candidates,
     chi_p,
     construct_max_rank_curve,
     hasse_primes,
@@ -41,6 +42,11 @@ CONSTRUCTIONS = {
     11: (167707, 21664, 187187, 5, 5, ()),
     13: (63707931, 239467091, 659902243, 8, 8, ()),
 }
+
+
+def chi_candidates(p):
+    """The prime members of {p^2 - p + 1, p^2 + p + 1}."""
+    return tuple(q for q in (p * p - p + 1, p * p + p + 1) if modring.is_prime(q))
 
 
 def _sieve(limit):
@@ -198,6 +204,21 @@ def test_searches_prove_each_prime_once(monkeypatch):
     proved.clear()
     assert chi_p(379) == (2, (143263, 0, 39))
     assert proved.count(143263) == 1  # the six twists share one Modulus
+
+
+def test_rank_bound_proves_each_prime_once(monkeypatch):
+    # the window scan skips p, which hasse_primes proved, and F_q's Modulus
+    # is the one proof of the chi candidate q
+    proved, real = [], modring.is_prime
+    monkeypatch.setattr(modring, "is_prime", lambda n: proved.append(n) or real(n))
+    monkeypatch.setattr(rank, "is_prime", lambda n: proved.append(n) or real(n))
+    for p, q in ((13, 157), (379, 143263)):
+        proved.clear()
+        report = rank_bound(p)
+        assert report.chi_witness[0] == q
+        primes = collections.Counter(n for n in proved if real(n))
+        assert set(primes) == {*report.hasse_primes, q}, (p, primes)
+        assert set(primes.values()) == {1}, (p, primes)
 
 
 @pytest.mark.parametrize("p", sorted(CHI))
