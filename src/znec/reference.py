@@ -90,7 +90,7 @@ def verify_all() -> list[tuple[str, bool, str]]:
     c = new_curve(DLP160_A, DLP160_B, DLP160_P, factorization=((DLP160_P, 1),))
     base = c.point(*DLP160_BASE)
     target = c.point(*DLP160_TARGET)
-    check(f"|E(F_p)| = p certificate (160-bit)", c.scalar_xyz(DLP160_P, base.xyz), (0, 1, 0))
+    check("|E(F_p)| = p certificate (160-bit)", c.scalar_xyz(DLP160_P, base.xyz), (0, 1, 0))
     lifted = Curve(DLP160_A, DLP160_B, c.modulus.component(DLP160_P, 2))
     check(
         "Theta of lifted base point",

@@ -338,7 +338,7 @@ def anomalous_type_by_multiple(c):
     fp = c.component(p, 1)
     q = count_fp(fp.a, fp.b, p)
     for _, pt in _draws(p, (fp.a, fp.b)):
-        if (source := fp.scalar_xyz(q // p, pt)) != (0, 1, 0):
+        if (source := fp.scalar_xyz(q // p, (*pt, 1))) != (0, 1, 0):
             break
     lifted = c.point(*_hensel_lift(c.a, c.b, source[0], source[1], p, e))
     return SPLIT if c.scalar_xyz(p ** (e - 1), lifted.xyz) == (0, 1, 0) else CYCLIC

@@ -327,17 +327,31 @@ def test_affine_step_matches_the_oracle_on_every_pair():
 
 
 def test_count_takes_no_projective_step(monkeypatch):
-    # the Shanks-Mestre count is affine over F_p throughout, on (a, b, p)
-    # alone: it builds no Curve and no Modulus
+    # every F_p step in structure is affine: the Shanks-Mestre count on
+    # (a, b, p) alone, building no Curve and no Modulus, and the shape proof
+    # and the anomalous cofactor, whose projective steps are all mod p^e, e > 1
     def refuse(*args, **kwargs):
-        pytest.fail("a projective step, a Curve or a Modulus inside the count")
+        pytest.fail("a projective step over F_p, a Curve or a Modulus inside the count")
 
-    monkeypatch.setattr(Curve, "add_xyz", refuse)
-    monkeypatch.setattr(Curve, "scalar_xyz", refuse)
-    monkeypatch.setattr(Curve, "__init__", refuse)
-    monkeypatch.setattr(modring.Modulus, "_fill", refuse)
-    for a, b, p in ((5, 8, 2003), (2, 7, 2011), (0, 1, 100003), (1, 0, 262139)):
-        assert _count_shanks_mestre(a, b, p) == _legendre_count(a, b, p), (a, b, p)
+    def refusing_over_a_prime(law):
+        def guarded(self, *args, **kwargs):
+            if self.modulus.factorization == ((self.n, 1),):
+                refuse()
+            return law(self, *args, **kwargs)
+
+        return guarded
+
+    monkeypatch.setattr(Curve, "add_xyz", refusing_over_a_prime(Curve.add_xyz))
+    monkeypatch.setattr(Curve, "scalar_xyz", refusing_over_a_prime(Curve.scalar_xyz))
+    with monkeypatch.context() as m:
+        m.setattr(Curve, "__init__", refuse)
+        m.setattr(modring.Modulus, "_fill", refuse)
+        for a, b, p in ((5, 8, 2003), (2, 7, 2011), (0, 1, 100003), (1, 0, 262139)):
+            assert _count_shanks_mestre(a, b, p) == _legendre_count(a, b, p), (a, b, p)
+    assert group_structure_fp(new_curve(0, 15, 157)).shape == (13, 13)
+    assert group_structure_fp(new_curve(9120, 2181, 13627)).shape == (6906, 2)
+    assert anomalous_type(new_curve(3, 0, 25)) == SPLIT
+    assert anomalous_type(new_curve(3, 5, 25)) == CYCLIC
 
 
 def test_counts_in_the_workload_range_stay_pinned():
@@ -433,7 +447,7 @@ def test_draws_take_the_curves_in_turn():
     curves = [new_curve(a, b, p) for a, b in coeffs]
     pairs = list(structure._draws(p, *coeffs))
     assert [i for i, _ in pairs] == [0, 1] * (structure._DRAWS // 2)
-    assert all(curves[i].point(x, y).xyz == (x, y, z) for i, (x, y, z) in pairs)
+    assert all(curves[i].point(x, y).xyz == (x, y, 1) for i, (x, y) in pairs)
 
 
 def test_a_curve_draws_the_same_points_after_other_curves_draw():
@@ -807,7 +821,7 @@ def test_anomalous_type_requires_p_dividing_field_order():
 
 def test_anomalous_type_with_every_draw_dying_under_the_cofactor_fails(monkeypatch, capsys):
     # E_{3,0}(F_5) has 10 points, and its 2-torsion point (0, 0) dies under the cofactor 2
-    monkeypatch.setattr(structure, "_draws", lambda p, *coeffs: ((0, (0, 0, 1)) for _ in range(structure._DRAWS)))
+    monkeypatch.setattr(structure, "_draws", lambda p, *coeffs: ((0, (0, 0)) for _ in range(structure._DRAWS)))
     message = "40 points of E_{3,0}(Z/5) all die under the cofactor 2"
     with pytest.raises(SelfCheckFailed) as info:
         anomalous_type(new_curve(3, 0, 25))
