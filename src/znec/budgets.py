@@ -43,4 +43,5 @@ class Meter:
     def charge(self, steps: int) -> None:
         self.spent += steps
         if self.spent > self.limit:
-            raise BudgetExceeded(f"{self.work} passed its budget of {self.limit} steps: {self.spent} charged")
+            message = f"{self.work} passed its budget of {self.limit} steps: {self.spent} charged"
+            raise BudgetExceeded(message, self.work, self.limit, self.spent)

@@ -61,7 +61,11 @@ class BothLawsVanish(ZnecError):
 
 
 class BudgetExceeded(ZnecError):
-    """A point count, a construction walk or Pollard rho would exceed its budget."""
+    """A point count, a construction walk or Pollard rho would exceed its budget; a Meter sets work, limit, spent."""
+
+    def __init__(self, message: str, work: str | None = None, limit: int | None = None, spent: int | None = None):
+        super().__init__(message)
+        self.work, self.limit, self.spent = work, limit, spent
 
 
 class NotCyclic(ZnecError):

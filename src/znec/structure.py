@@ -3,19 +3,19 @@
 |E(F_p)| is counted exactly, by a Legendre-symbol sum for small p and,
 above a measured crossover, by Shanks-Mestre: the only m in the Hasse
 interval with m P = O for every P drawn on E, and (2p + 2 - m) P = O on
-its quadratic twist (even m only, for a non-square discriminant).  All
-F_p work takes affine chord-and-tangent steps (_add_fp, _mul_fp; None
-for O), except is_anomalous's projective p P.  The shape
-Z/n1 + Z/n2 is proved one l-primary part at a time, by Weil pairings of
-the l-parts of drawn points, for each l with l^2 | |E(F_p)| and l | p-1.
-All points come from _draws, seeded by the curve, with y from
-_sqrt_mod_prime, the F_p square root (Tonelli-Shanks); one point of order
-p certifies |E(F_p)| = p.  Over each component p^e of N the fiber count
-gives |E(Z/p^eZ)| = p^(e-1) |E(F_p)|, and the structure is
+its quadratic twist (even m only, for a non-square discriminant).  All F_p
+work takes affine chord-and-tangent steps (_add_fp, _mul_fp; None for O),
+except is_anomalous's projective p P.  The shape Z/n1 + Z/n2 is proved one
+l-primary part at a time, by Weil pairings of the l-parts of drawn points,
+for each l | gcd(|E(F_p)|, p-1) with l^2 | |E(F_p)|: only that gcd is
+factored.  All points come from _draws, seeded by the curve, with y from
+_sqrt_mod_prime (Tonelli-Shanks from one power of the radicand); one point
+of order p certifies |E(F_p)| = p.  Over each component p^e of N the fiber
+count gives |E(Z/p^eZ)| = p^(e-1) |E(F_p)|, and the structure is
 E(F_p) + Z/p^(e-1)Z except when |E(F_p)| = p (the anomalous case), where
-it is cyclic Z/p^eZ or F_p + Z/p^(e-1)Z, decided by Theta
-(infinity.theta) of one lifted order-p point: 0 exactly when split.
-classify() merges the local cyclic orders into invariant factors by
+it is cyclic Z/p^eZ or F_p + Z/p^(e-1)Z, decided by Theta (infinity.theta)
+of one lifted order-p point: 0 exactly when split.  classify() merges the
+local cyclic orders into invariant factors by
 Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b).
 """
 
@@ -36,11 +36,11 @@ NON_ANOMALOUS = "non-anomalous"
 CYCLIC = "cyclic"
 SPLIT = "split"
 
-# _count_fp sums Legendre symbols up to _CROSSOVER.  Per count, 200 curves per
-# p on one CPU (Python 3.11, shared 2-vCPU Xeon): at p = 2003 the sum takes
-# 0.33 ms and the affine Shanks-Mestre 0.05 ms; they cross between p = 233
-# (0.031 and 0.037 ms) and p = 401 (0.057 and 0.042 ms).  Moving the constant
-# changes what _count_cost charges, and so what rank admits under its budget.
+# _count_fp sums Legendre symbols up to _CROSSOVER.  Per count, best of 7 runs
+# over 200 curves per p on one CPU (Python 3.11, shared 2-vCPU Xeon): the sum
+# and the affine Shanks-Mestre both take 0.030 ms at p = 233, 0.061 and 0.035 ms
+# at p = 401, and 0.34 and 0.043 ms at p = 2003.  Moving the constant changes
+# what _count_cost charges, and so what rank admits under its budget.
 # _draws yields _DRAWS points at most per count, per l-part or per anomalous component
 _CROSSOVER = 2000
 _DRAWS = 40
@@ -167,9 +167,11 @@ def _add_fp(a: int, p: int, u: tuple[int, int] | None, v: tuple[int, int] | None
         return v
     if v is None:
         return u
-    if u[0] == v[0] and (u[1] + v[1]) % p == 0:  # v = -u, doublings of 2-torsion included
+    (x1, y1), (x2, y2) = u, v
+    if x1 == x2 and (y1 + y2) % p == 0:  # v = -u, doublings of 2-torsion included
         return None
-    return _slope_sum(a, p, *u, *v)[1:]
+    _, x3, y3 = _slope_sum(a, p, x1, y1, x2, y2)
+    return x3, y3
 
 
 def _mul_fp(a: int, p: int, k: int, pt: tuple[int, int]) -> tuple[int, int] | None:
@@ -297,31 +299,31 @@ def count_points_fp(c: Curve) -> int:
     return _count_fp(c.a, c.b, p)
 
 
+@lru_cache(maxsize=64)
 def _non_residue(p: int) -> int:
     """The least quadratic non-residue mod an odd prime p."""
     return next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int | None:
-    """A square root of a mod p (Tonelli-Shanks), or None for non-residues."""
+    """A square root of a mod p, or None for non-residues, from one full power h of a (Tonelli-Shanks).
+
+    p - 1 = 2^s q, q odd: h = a^((q-1)/2), r = h a, t = h^2 a = a^q, and the first round is Euler's test.
+    """
     a %= p
     if a == 0:
         return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    m, c, t, r = s, pow(_non_residue(p), q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p >> s = q, p >> (s + 1) = (q - 1) / 2
+    h = pow(a, p >> (s + 1), p)
+    m, c, t, r = s, 0, h * h * a % p, h * a % p
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:
             t2 = t2 * t2 % p
             i += 1
-        b = pow(c, 1 << (m - i - 1), p)
+        if i == s:  # t^(2^(s-1)) = a^((p-1)/2) = -1; for p = 3 mod 4, r = a^((p+1)/4) and r^2 != a
+            return None
+        b = pow(c or pow(_non_residue(p), p >> s, p), 1 << (m - i - 1), p)  # c = z^q, z a non-residue, once a is square
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
@@ -371,29 +373,34 @@ def _miller(a: int, p: int, lam: int, pt: tuple[int, int], n: int, at: tuple[int
     return pow(num * pow(den, -1, p), lam // n, p) if num and den else 0
 
 
+def _open_primes(p: int, q: int) -> list[int]:
+    """The l | g = gcd(q, p-1) with l^2 | q: the l-parts of E(F_p) that may be non-cyclic.  Factors g, not q."""
+    g = math.gcd(q, p - 1)
+    return [l for l, _ in (factorize(g) if g > 1 else ()) if q % (l * l) == 0]
+
+
 def group_structure_fp(c: Curve) -> FieldCurveData:
     """Shape (n1, n2) of E(F_p) = Z/n1 + Z/n2 with n2 | n1 and n2 | p-1.
 
-    With l^a exactly dividing the order q, the l-part of n2 is cyclic
-    outright unless a >= 2 and l | p-1 (which gives l | t-2, as
-    t-2 = (p-1) - q for the trace t); no point arithmetic is done for it.
-    Each such open l is proved on its own (Miller, J. Cryptology 17,
-    2004), in one loop over the draws of _draws, seeded by the curve: per
-    point P, R = (q/l^a) P has order l^b, found by steps of l.  lam, the
-    largest such order, divides the exponent l^(a-c) of the l-part, and
-    mu, the largest order of the Weil pairings
-    e_lam(R, S) = (-1)^lam f_R(S) / f_S(R) against the highest-order
-    l-part S drawn before, divides l^c; so l is proved once
-    lam * mu = l^a.  Every shape returned is proved: an l that runs out
-    of draws raises SelfCheckFailed instead.
+    Only the l of _open_primes, l | g = gcd(q, p-1) with l^2 | q, can
+    divide n2, so only g is factored; every other l-part is cyclic outright,
+    with no point arithmetic.  Each open l is proved on its own (Miller,
+    J. Cryptology 17, 2004), in one loop over the draws of _draws, seeded by
+    the curve: per point P, with l^a exactly dividing q (read by division),
+    R = (q/l^a) P has order l^b, found by steps of l.  lam, the largest such
+    order, divides the exponent l^(a-c) of the l-part, and mu, the largest
+    order of the Weil pairings e_lam(R, S) = (-1)^lam f_R(S) / f_S(R)
+    against the highest-order l-part S drawn before, divides l^c; so l is
+    proved once lam * mu = l^a.  Every shape returned is proved: an l that
+    runs out of draws raises SelfCheckFailed instead.
     """
     p = c.modulus.as_prime()
     q = count_points_fp(c)
     n2 = 1
-    for l, a in factorize(q):
-        if a < 2 or (p - 1) % l:
-            continue
-        la, lam, mu, s = l**a, 1, 1, None
+    for l in _open_primes(p, q):
+        la, lam, mu, s = l * l, 1, 1, None
+        while q % (la * l) == 0:
+            la *= l
         for _, pt in _draws(p, (c.a, c.b)):
             r = step = _mul_fp(c.a, p, q // la, pt)
             order = 1

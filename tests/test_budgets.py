@@ -2,9 +2,10 @@
 
 A Meter takes its limit from ``budgets.resolve`` at the spend site and
 raises once the steps charged pass it, with one message that names the
-work, the limit and the total charged.  The guard at the end reads the
-library with ``ast`` and names every other construction of
-BudgetExceeded, so a new budget cannot grow its own rule again.
+work, the limit and the total charged, and with the three as the error's
+work, limit and spent.  The guard at the end reads the library with
+``ast`` and names every other construction of BudgetExceeded, so a new
+budget cannot grow its own rule again.
 """
 
 import ast
@@ -47,6 +48,15 @@ def test_each_search_names_its_work(monkeypatch, budget, search, work):
     modring.factorize.cache_clear()  # a cached factorization would skip rho
     with pytest.raises(BudgetExceeded, match=rf"^{work} passed its budget of {budget} steps: \d+ charged$"):
         search()
+
+
+def test_a_refused_count_says_what_ran_out(monkeypatch):
+    monkeypatch.setenv("ZNEC_BUDGET", "100")
+    with pytest.raises(BudgetExceeded) as info:
+        count_points_fp(new_curve(1, 1, 101))  # the Legendre sum over F_101 is priced at 101 steps
+    assert (info.value.work, info.value.limit, info.value.spent) == ("counting over F_101", 100, 101)
+    bare = BudgetExceeded("a message alone")
+    assert str(bare) == "a message alone" and (bare.work, bare.limit, bare.spent) == (None, None, None)
 
 
 def _stray_raises(source: str, filename: str) -> list[str]:

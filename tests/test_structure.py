@@ -442,6 +442,23 @@ def test_sqrt_mod_prime_matches_a_table_of_squares():
         assert _sqrt_mod_prime(0, p) == 0
 
 
+@pytest.mark.parametrize("p, s", [(65537, 16), (100069, 2), (299983, 1)])
+def test_sqrt_mod_prime_at_workload_sizes(p, s):
+    # 2^s exactly divides p - 1: 65537 takes the deepest Tonelli-Shanks loop below 3e5, 100069 is
+    # 5 mod 8 and 299983 is 3 mod 4.  A None must be a non-residue by Euler's criterion.
+    assert is_prime(p) and (p - 1) % 2**s == 0 and (p - 1) // 2**s % 2 == 1
+    seeded = random.Random(p)
+    nones = 0
+    for a in (seeded.randrange(p) for _ in range(2000)):
+        r = _sqrt_mod_prime(a, p)
+        if r is None:
+            assert pow(a, (p - 1) // 2, p) == p - 1, (a, p)
+            nones += 1
+        else:
+            assert 0 <= r < p and r * r % p == a, (a, p, r)
+    assert 900 < nones < 1100
+
+
 def test_draws_take_the_curves_in_turn():
     p, coeffs = 100003, ((5, 8), (2, 7))
     curves = [new_curve(a, b, p) for a, b in coeffs]
@@ -595,6 +612,23 @@ def test_field_structure_rejects_a_wrong_count(monkeypatch, a, b, p):
         monkeypatch.setattr(structure, "count_points_fp", lambda _, m=m: m)
         with pytest.raises(ZnecError):
             group_structure_fp(c)
+
+
+def test_open_primes_come_from_the_gcd_with_p_minus_1():
+    # structure factors gcd(q, p - 1), not q; it must leave open exactly the l of _open_primes:
+    # every q in the Hasse window for p < 2000, and 64 seeded q in it for 200 seeded p in [2e4, 3e5]
+    seeded = random.Random(34)
+    cases = [(p, range(p + 1 - math.isqrt(4 * p), p + 2 + math.isqrt(4 * p))) for p in range(5, 2000) if is_prime(p)]
+    for _ in range(200):
+        p = next(n for n in itertools.count(seeded.randrange(20_000, 300_000)) if is_prime(n))
+        cases.append((p, seeded.sample(range(p + 1 - math.isqrt(4 * p), p + 2 + math.isqrt(4 * p)), 64)))
+    opened = 0
+    for p, window in cases:
+        for q in window:
+            expected = _open_primes(p, q)
+            assert structure._open_primes(p, q) == expected, (p, q)
+            opened += bool(expected)
+    assert opened > 10_000
 
 
 def test_anomalous_type_fixtures():
