@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -118,6 +119,22 @@ def test_verify_paper_examples(capsys):
     lines = out.strip().splitlines()
     assert len(lines) >= 16
     assert all(line.startswith("PASS  ") for line in lines)
+
+
+# SHA-256 of each command's stdout, recorded while the result records were dataclasses
+STDOUT_DIGESTS = {
+    ("verify-paper-examples",): "07862c64a816263dbb542eb1a2027c37832a53ea965f9a6e3351d58d7d639b3a",
+    ("structure", "--a", "167707", "--b", "21664", "--n", "187187", "--json"):
+        "48e247226c1a71ed97520ceef5b375881283c676009a7e5b3c944861c4423c24",
+    ("rank-bound", "--p", "13", "--construct"): "d08874d083646ff4cc83f2d1c04e54e34061420ae5f80df177c1c71be8e69650",
+}
+
+
+@pytest.mark.parametrize("argv", list(STDOUT_DIGESTS), ids=lambda argv: argv[0])
+def test_stdout_matches_its_recorded_digest(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[argv]
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):
