@@ -12,44 +12,52 @@ is retried with B, then A, moved by p; lift_point and theta are infinity's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .curve import Curve, CurvePoint
 from .errors import LiftRetryExhausted, NotAnomalous, NotCyclic, SelfCheckFailed, ThetaZero, ZnecError
 from .infinity import lift_point, theta
 from .structure import count_points_fp
 
 
-@dataclass(frozen=True)
 class DlpInstance:
     """Q = N*P on an anomalous curve mod p; recover N.
 
     Construction certifies |E(F_p)| = p as is_anomalous does, but by the
     Theta(P^) of the solve's first lift, which is kept for the solve.
+    The fields are read-only; equality, hash and repr read only
+    (curve, base, target), not the lift.
     """
 
-    curve: Curve
-    base: CurvePoint
-    target: CurvePoint
-    _lift: tuple[Curve, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("_key", "_lift")
 
-    def __post_init__(self):
-        c = self.curve
-        p = c.modulus.as_prime()
-        base = c._xyz(self.base)
-        tgt = c._xyz(self.target)
-        if base == (0, 1, 0):
+    def __init__(self, curve: Curve, base: CurvePoint, target: CurvePoint):
+        self._key = (curve, base, target)
+        p = curve.modulus.as_prime()
+        base_xyz, target_xyz = curve._xyz(base), curve._xyz(target)
+        if base_xyz == (0, 1, 0):
             raise ThetaZero("base point is the identity; its log is undefined")
-        if tgt == (0, 1, 0):
+        if target_xyz == (0, 1, 0):
             raise ZnecError("target point is the identity")
-        lifted = Curve(c.a, c.b, c.modulus.component(p, 2))  # p was proved prime with c.modulus
+        lifted = Curve(curve.a, curve.b, curve.modulus.component(p, 2))  # p was proved prime with curve.modulus
         try:
-            theta_p = theta(lifted, lift_point(c, self.base, lifted))
+            theta_p = theta(lifted, lift_point(curve, base, lifted))
         except NotCyclic:
-            raise NotAnomalous(f"|E| ≠ {p} on {c!r}: p·P̃ not over infinity mod p² (P = {self.base})") from None
-        if p == 5 and count_points_fp(c) != p:
-            raise NotAnomalous(f"|E| ≠ {p} on {c!r}: count ≠ p at p = 5 (P = {self.base})")
-        object.__setattr__(self, "_lift", (lifted, theta_p))
+            raise NotAnomalous(f"|E| ≠ {p} on {curve!r}: p·P̃ not over infinity mod p² (P = {base})") from None
+        if p == 5 and count_points_fp(curve) != p:
+            raise NotAnomalous(f"|E| ≠ {p} on {curve!r}: count ≠ p at p = 5 (P = {base})")
+        self._lift = (lifted, theta_p)
+
+    curve = property(lambda self: self._key[0])
+    base = property(lambda self: self._key[1])
+    target = property(lambda self: self._key[2])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DlpInstance) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return "DlpInstance(curve={!r}, base={!r}, target={!r})".format(*self._key)
 
     @property
     def p(self) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import budgets
 from .curve import Curve, new_curve
@@ -39,8 +39,7 @@ CHI_ABSENT = "absent"
 CHI_ASSUMED = "assumed"
 
 
-@dataclass(frozen=True)
-class RankBoundReport:
+class RankBoundReport(NamedTuple):
     p: int
     hasse_primes: tuple[int, ...]
     h_p: int
@@ -175,8 +174,7 @@ def _split_curve_mod_p2(p: int) -> tuple[int, int]:
     raise SelfCheckFailed(f"no anomalous curve mod {p}^2 has a split lift")  # split lifts exist for every base
 
 
-@dataclass(frozen=True)
-class MaxRankCurve:
+class MaxRankCurve(NamedTuple):
     """Output of construct_max_rank_curve: the glued curve plus provenance."""
 
     a: int

@@ -10,7 +10,7 @@ suite pins them as regressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curve import ADDITIONS, Curve, new_curve, point_order
 from .dlp import DlpInstance, solve_anomalous_dlp
@@ -29,8 +29,7 @@ DLP160_THETA_TARGET = 470974712001084540433398653921983741661987449793
 DLP160_LOG = 113690975836469390483838646646828917131453128585
 
 
-@dataclass(frozen=True)
-class StructureInstance:
+class StructureInstance(NamedTuple):
     a: int
     b: int
     n: int

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import budgets
 from .curve import ADDITIONS, Curve, CurvePoint
@@ -46,8 +46,7 @@ _CROSSOVER = 2000
 _DRAWS = 40
 
 
-@dataclass(frozen=True)
-class FieldCurveData:
+class FieldCurveData(NamedTuple):
     """What we know about E(F_p): order, trace and abstract shape."""
 
     p: int
@@ -56,8 +55,7 @@ class FieldCurveData:
     shape: tuple[int, int]  # (n1, n2) with n2 | n1, n1*n2 = order, n2 | p-1
 
 
-@dataclass(frozen=True)
-class LocalStructure:
+class LocalStructure(NamedTuple):
     """One prime-power component p^e of the classification."""
 
     p: int
@@ -75,8 +73,7 @@ class LocalStructure:
         }
 
 
-@dataclass(frozen=True)
-class GroupStructure:
+class GroupStructure(NamedTuple):
     """Invariant factors d1 | d2 | ... | dk plus per-prime provenance."""
 
     n: int

@@ -12,10 +12,18 @@ library modules; there is none.
 The group law (``curve``) and the ring arithmetic under it (``modring``,
 ``projective``) are layers: other modules use their public names only, so
 a private helper there can change without a caller elsewhere noticing.
+
+Every znec process pays for what ``import znec.cli`` pulls in, so the
+library does not import ``dataclasses`` or ``inspect``: together with
+the code each dataclass decoration generates and execs, they cost about
+9 ms of start-up.  The result records are ``typing.NamedTuple``s and
+``DlpInstance`` is a slotted class.
 """
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -132,3 +140,10 @@ def test_guard_sees_a_private_name_imported_from_a_layer():
         "def f():\n    from znec.modring import _mod_sqrt, factorize\n"
     )
     assert _private_layer_imports(source) == ["curve._AdditionCounter", "modring._mod_sqrt"]
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    probe = "import znec.cli, sys; print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
