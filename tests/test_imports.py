@@ -16,8 +16,8 @@ a private helper there can change without a caller elsewhere noticing.
 Every znec process pays for what ``import znec.cli`` pulls in, so the
 library does not import ``dataclasses`` or ``inspect``: together with
 the code each dataclass decoration generates and execs, they cost about
-9 ms of start-up.  The result records are ``typing.NamedTuple``s and
-``DlpInstance`` is a slotted class.
+9 ms of start-up with Python 3.11 on a shared 2-vCPU Xeon.  The result
+records are ``typing.NamedTuple``s and ``DlpInstance`` is a slotted class.
 """
 
 import ast
