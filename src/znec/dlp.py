@@ -6,8 +6,9 @@ If the lifted group is cyclic of order p^2, Theta(P) = X/p mod p (where
 pP = (X : 1 : f(X))) is a surjective homomorphism with kernel exactly
 the kernel of reduction, so N = Theta(Q^)/Theta(P^) solves Q = N P with
 O(log p) curve additions; Theta(P^) exists only if pP = O, so the first
-lift certifies the count too.  A split lift (Theta = 0, one chance in p)
-is retried with B, then A, moved by p; lift_point and theta are infinity's.
+lift certifies the count too.  The instance lifts both points once and
+keeps their Thetas; a split lift (Theta = 0, one chance in p) is retried
+with B, then A, moved by p.  lift_point and theta are infinity's.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ class DlpInstance:
     """Q = N*P on an anomalous curve mod p; recover N.
 
     Construction certifies |E(F_p)| = p as is_anomalous does, but by the
-    Theta(P^) of the solve's first lift, which is kept for the solve.
-    The fields are read-only; equality, hash and repr read only
-    (curve, base, target), not the lift.
+    Theta(P^) of the verbatim lift to Z/p^2Z.  _lift keeps that lift with
+    Theta(P^) and Theta(Q^) for the solve; Theta(Q^) is computed only when
+    Theta(P^) != 0 and is left 0 on a split lift.  The fields are
+    read-only; equality, hash and repr read only (curve, base, target),
+    not the lift.
     """
 
     __slots__ = ("_key", "_lift")
@@ -44,7 +47,7 @@ class DlpInstance:
             raise NotAnomalous(f"|E| ≠ {p} on {curve!r}: p·P̃ not over infinity mod p² (P = {base})") from None
         if p == 5 and count_points_fp(curve) != p:
             raise NotAnomalous(f"|E| ≠ {p} on {curve!r}: count ≠ p at p = 5 (P = {base})")
-        self._lift = (lifted, theta_p)
+        self._lift = (lifted, theta_p, theta_p and theta(lifted, lift_point(curve, target, lifted)))
 
     curve = property(lambda self: self._key[0])
     base = property(lambda self: self._key[1])
@@ -67,21 +70,22 @@ class DlpInstance:
 def solve_anomalous_dlp(instance: DlpInstance) -> int:
     """Recover N with Q = N*P via the lifted Theta homomorphism.
 
-    Starts from the instance's lift to Z/p^2Z.  Theta(P^) = 0 reveals a
-    split lift; the curve is then re-lifted with B+p, then with A+p
-    (same reduction, independent chance of a cyclic group).  The result
-    is verified against the original instance before being returned, so
-    a returned value is unconditionally correct.
+    Starts from the instance's lift and its two Thetas.  Theta(P^) = 0
+    reveals a split lift; the curve is then re-lifted with B+p, then with
+    A+p (same reduction, independent chance of a cyclic group), and each
+    retry lifts Q only if its Theta(P^) != 0.  N = Theta(Q^)/Theta(P^) is
+    verified against the original instance before being returned, so a
+    returned value is unconditionally correct.
     """
     c, p, base, tgt = instance.curve, instance.p, instance.base, instance.target
     retries = [(c.a, c.b + p), (c.a + p, c.b)]
-    lifted, theta_p = instance._lift
+    lifted, theta_p, theta_q = instance._lift
     while theta_p == 0:  # split lift: Theta vanishes identically
         if not retries:
             raise LiftRetryExhausted(f"all three lifts of {c!r} to mod {p}^2 were split")
         lifted = Curve(*retries.pop(0), lifted.modulus)
         theta_p = theta(lifted, lift_point(c, base, lifted))
-    theta_q = theta(lifted, lift_point(c, tgt, lifted))
+        theta_q = theta_p and theta(lifted, lift_point(c, tgt, lifted))
     n = theta_q * pow(theta_p, -1, p) % p
     if c.scalar_xyz(n, base.xyz) != tgt.xyz:
         raise SelfCheckFailed(f"verification failed: {n} * {base} != {tgt} on {c!r}")

@@ -82,7 +82,7 @@ class GroupStructure(NamedTuple):
 
     @property
     def order(self) -> int:
-        return math.prod(self.factors) if self.factors else 1
+        return math.prod(self.factors)
 
     @property
     def rank(self) -> int:

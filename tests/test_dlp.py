@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from znec import dlp, modring
-from znec.curve import ADDITIONS, new_curve
+from znec import dlp, modring, reference
+from znec.curve import ADDITIONS, Curve, new_curve
 from znec.errors import (
     LiftRetryExhausted,
     NotAnomalous,
@@ -12,7 +12,7 @@ from znec.errors import (
     ZnecError,
 )
 from znec.infinity import kernel_generator
-from znec.structure import CYCLIC, anomalous_type, count_points_fp, is_anomalous
+from znec.structure import CYCLIC, SPLIT, anomalous_type, count_points_fp, is_anomalous
 from enumeration import enumerate_points
 from oracles import ladder_additions
 
@@ -323,3 +323,50 @@ def test_solve_reuses_the_instance_prime(monkeypatch):
     assert tested == []
     assert len(moduli) == 3 and all(m is moduli[0] for m in moduli)
     assert moduli[0].factorization == ((P160, 2),)
+
+
+def _lex_first_anomalous(p, kind):
+    # the lex-first (a, b) with |E(F_p)| = p whose verbatim lift mod p^2 is `kind`
+    for a in range(p):
+        for b in range(p):
+            if (4 * a**3 + 27 * b**2) % p == 0 or count_points_fp(new_curve(a, b, p)) != p:
+                continue
+            if anomalous_type(new_curve(a, b, p * p, factorization=((p, 2),))) == kind:
+                return a, b
+    raise AssertionError(f"no anomalous curve mod {p} with a {kind} verbatim lift")
+
+
+@pytest.mark.parametrize("p, cyclic", [(5, (3, 3)), (7, (3, 5)), (11, (3, 9)), (13, (1, 7))])
+def test_instance_keeps_both_thetas_of_its_lift(p, cyclic):
+    # a cyclic lift keeps Theta(P^) != 0 and Theta(Q^) = k Theta(P^); a split
+    # one keeps (0, 0), and the solve finds k by its retries
+    assert _lex_first_anomalous(p, CYCLIC) == cyclic
+    for ab in (cyclic, _lex_first_anomalous(p, SPLIT)):
+        c = new_curve(*ab, p)
+        for P in enumerate_points(c):
+            if P.is_identity():
+                continue
+            for k in range(1, p):
+                inst = dlp.DlpInstance(c, P, k * P)
+                theta_p, theta_q = inst._lift[1:]
+                if ab == cyclic:
+                    assert theta_p != 0 and theta_q == k * theta_p % p, (P, k)
+                else:
+                    assert (theta_p, theta_q) == (0, 0), (P, k)
+                assert dlp.solve_anomalous_dlp(inst) == k
+
+
+def test_verify_paper_examples_makes_four_160bit_ladders(monkeypatch):
+    # the certificate p*P mod p, the two Thetas mod p^2 and the solve's check;
+    # the Theta rows are read from the instance, not lifted a second time
+    big = []
+    scalar_xyz = Curve.scalar_xyz
+
+    def counted(c, k, xyz):
+        if k.bit_length() > 100:
+            big.append((k, c.n))
+        return scalar_xyz(c, k, xyz)
+
+    monkeypatch.setattr(Curve, "scalar_xyz", counted)
+    assert all(ok for _, ok, _ in reference.verify_all())
+    assert big == [(P160, P160), (P160, P160**2), (P160, P160**2), (N160, P160)]
